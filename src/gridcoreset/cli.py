@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--tau", help="override the target resolution")
     p.add_argument("--out", help="write ReportRows as CSV")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="time full vs coarse solves")
@@ -427,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--tau", help="override the target resolution")
     p.add_argument("--out", help="write ReportRows as CSV")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("oracle", help="1D DP optimum, closed form, and lower bound")

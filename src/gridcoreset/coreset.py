@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Resolution, as_resolution, merge_map
+from .grid import Resolution, as_resolution, batch_error_exact, merge_map
 from .model import Clustering, Instance, NormFamily, cost_sites
 from .solver import SolveResult, solve_assignment
 
@@ -60,15 +60,11 @@ def target_resolution(k: int, epsilon, rho) -> Resolution:
 
 
 def delta_offset_exact(rho, tau) -> Fraction:
-    """The offset as an exact rational: sum_t (1/12)(4^-tau_t - 4^-rho_t)."""
-    rho = as_resolution(rho)
-    tau = as_resolution(tau)
-    if not tau <= rho:
-        raise ValueError(f"tau={tau.exponents} not componentwise <= rho={rho.exponents}")
-    total = Fraction(0)
-    for re, te in zip(rho.exponents, tau.exponents):
-        total += Fraction(1, 12) * (Fraction(1, 4**te) - Fraction(1, 4**re))
-    return total
+    """The offset as an exact rational: |X(tau)| V(tau) = sum_t (1/12)(4^-tau_t - 4^-rho_t).
+
+    Raises ValueError unless tau <= rho componentwise.
+    """
+    return as_resolution(tau).n * batch_error_exact(rho, tau)
 
 
 def delta_offset(rho, tau) -> float:

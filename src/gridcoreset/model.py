@@ -133,6 +133,8 @@ class Instance:
                 sites = sites.reshape(-1, 1)
             if sites.shape != (k, rho.d):
                 raise ValueError(f"sites must have shape ({k}, {rho.d}), got {sites.shape}")
+            if not np.all(np.isfinite(sites)):
+                raise ValueError("sites must be finite")
             sites.setflags(write=False)
             object.__setattr__(self, "sites", sites)
 

@@ -7,8 +7,18 @@ so every basic solution the simplex visits has exactly integer flows and the
 returned assignment fractions are exact dyadic rationals.
 
 The simplex itself is primal, on the bipartite graph plus an artificial
-root.  Entering arcs follow Dantzig's rule with a fixed deterministic tie
-order (lowest cluster index, then lowest point index); after a long run of
+root.  Its basis is stored the way an optimum looks, as a power diagram
+plus a few split points.  A point with one basic arc is a leaf, kept only as
+the index of its cluster; every other basic arc (the arcs of split points
+and the artificial cluster -> root arcs) belongs to the core, a tree over
+the root, the k clusters and the s split points.  That tree has k + s arcs,
+the root has at least one and every split point at least two, so
+s <= k - 1 (the bound of Aurenhammer, Hoffmann and Aronov, "Minkowski-type
+theorems and least-squares clustering", 1998).  A pivot therefore costs one
+O(kn) numpy pricing pass plus O(k) work on the core.
+
+Entering arcs follow Dantzig's rule with a fixed deterministic tie order
+(lowest cluster index, then lowest point index); after a long run of
 degenerate pivots it falls back to Bland's rule (lowest eligible arc index)
 until progress resumes.  Leaving arcs are chosen to keep the spanning tree
 strongly feasible, which rules out cycling.  When every cost is exactly
@@ -18,7 +28,7 @@ Euclidean norm), pricing runs in 64-bit integers and the optimum is exact.
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,62 +184,21 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
     )
 
 
-def _greedy_flows(cost2d: np.ndarray, supply: int, demands) -> list[list[tuple[int, int]]]:
-    """Cheapest-available greedy assignment; returns per-point [(cluster, amount)].
+def _greedy_start(cost2d: np.ndarray, supply: int, demands):
+    """Cheapest-available greedy start basis as (owner, core).
 
-    Processes points in flat order; ties go to the lowest cluster index.
-    The split arcs (points assigned to several clusters) form a forest.
+    Points are processed in flat order.  A point goes whole to its cheapest
+    cluster if that one has room (ties to the lowest index), and is split
+    over clusters in cost order otherwise.  owner[j] is the cluster of a
+    point assigned whole; core maps every split arc i*n + j to its amount.
+    A split point exhausts all but at most one of its clusters, so the split
+    arcs form a forest.  Each of its trees hangs from the root by the
+    artificial arc k*n + a of its union-find representative a, at flow 0.
     """
     k, n = cost2d.shape
     cap = list(demands)
-    best = np.argmin(cost2d, axis=0)
-    arcs: list[list[tuple[int, int]]] = []
-    for j in range(n):
-        i = int(best[j])
-        if cap[i] >= supply:
-            cap[i] -= supply
-            arcs.append([(i, supply)])
-            continue
-        need = supply
-        got: list[tuple[int, int]] = []
-        order = np.lexsort((np.arange(k), cost2d[:, j]))
-        for i in order:
-            i = int(i)
-            if cap[i] <= 0:
-                continue
-            take = min(cap[i], need)
-            cap[i] -= take
-            need -= take
-            got.append((i, take))
-            if need == 0:
-                break
-        arcs.append(got)
-    return arcs
-
-
-def _network_simplex(problem: TransportProblem):
-    """Primal network simplex specialized to the bipartite transportation graph.
-
-    Node layout: points 0..n-1, clusters n..n+k-1, artificial root n+k.
-    Real arc a = i*n + j runs point j -> cluster i with cost C[i, j];
-    artificial arc e+i runs cluster i -> root with cost 0 and flow fixed 0.
-
-    Returns (flows over real arcs as (k*n,) int64, potentials, pivots).
-    """
-    exact = problem.int_costs is not None
-    C2 = problem.int_costs if exact else problem.costs
-    k, n = problem.k, problem.n
-    e = k * n
-    root = n + k
-    N = n + k + 1
-    supply = problem.supply
-
-    INF = 1 << 62
-
-    flows = np.zeros(e + k, dtype=np.int64)
-    greedy = _greedy_flows(C2, supply, problem.demands)
-
-    # Forest components: clusters linked whenever a point splits across them.
+    owner = np.argmin(cost2d, axis=0)
+    core: dict[int, int] = {}
     comp = list(range(k))
 
     def find(i):
@@ -238,292 +207,171 @@ def _network_simplex(problem: TransportProblem):
             i = comp[i]
         return i
 
-    point_adj: dict[int, list[tuple[int, int]]] = {}
-    cluster_leaves: list[list[int]] = [[] for _ in range(k)]
-    cluster_splits: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for j, got in enumerate(greedy):
-        for i, amount in got:
-            flows[i * n + j] = amount
-        if len(got) == 1:
-            cluster_leaves[got[0][0]].append(j)
-        else:
-            point_adj[j] = [(i, i * n + j) for i, _ in got]
-            for i, _ in got:
-                cluster_splits[i].append((j, i * n + j))
+    for j in range(n):
+        i = int(owner[j])
+        if cap[i] >= supply:
+            cap[i] -= supply
+            continue
+        need = supply
+        got: list[tuple[int, int]] = []
+        for i in np.lexsort((np.arange(k), cost2d[:, j])).tolist():
+            if cap[i] <= 0:
+                continue
+            take = min(cap[i], need)
+            cap[i] -= take
+            need -= take
+            got.append((i, take))
+            if need == 0:
+                break
+        owner[j] = got[0][0]
+        if len(got) > 1:
             base = find(got[0][0])
-            for i, _ in got[1:]:
+            for i, take in got:
+                core[i * n + j] = take
                 comp[find(i)] = base
+    for a in sorted({find(i) for i in range(k)}):
+        core[k * n + a] = 0
+    return owner, core
 
-    anchors = sorted({find(i) for i in range(k)})
 
-    parent = [-1] * N
-    parent_edge = [-1] * N
-    order = [root]
-    seen_cluster = [False] * k
-    seen_point = set()
-    # Depth-first construction: anchors under the root, leaf points and split
-    # points under clusters, further clusters under their split points.
-    for a in anchors:
-        parent[n + a] = root
-        parent_edge[n + a] = e + a
-        stack = [n + a]
-        seen_cluster[a] = True
+def _network_simplex(problem: TransportProblem):
+    """Primal network simplex on the leaf/core basis of the transportation graph.
+
+    Node layout: points 0..n-1, clusters n..n+k-1, artificial root n+k.
+    Real arc a = i*n + j runs point j -> cluster i with cost C[i, j];
+    artificial arc e+i runs cluster i -> root with cost 0 and flow fixed 0.
+    The basis is a spanning tree rooted at the root, stored in two parts:
+
+    - leaves: a point with one basic arc, kept only as owner[j], carrying
+      the full supply;
+    - core: every other basic arc with its flow, i.e. the arcs of split
+      points and the artificial arcs.  The core is a tree over the root,
+      the clusters and at most k-1 split points.
+
+    Potentials satisfy pi[root] = 0 and zero reduced cost on basic arcs.
+    Core potentials come from a walk over the core after every pivot; every
+    pivot changes the core, because under strong feasibility the entering
+    point's own leaf arc is never the leaving arc.  owner[j] of a split
+    point is its core parent, so every point potential is
+    pi_cl[owner[j]] + C[owner[j], j], one vector op ahead of pricing.
+
+    Returns (flows over real arcs as (k*n,) int64, potentials, pivots).
+    """
+    exact = problem.int_costs is not None
+    C2 = problem.int_costs if exact else problem.costs
+    cost = C2.ravel().tolist()
+    k, n = problem.k, problem.n
+    e = k * n
+    root = n + k
+    supply = problem.supply
+    cols = np.arange(n)
+    INF = 1 << 62
+
+    owner, core = _greedy_start(C2, supply, problem.demands)
+    pi_cl = np.zeros(k, dtype=C2.dtype)
+
+    def walk():
+        # Core parents (node -> (parent, arc)) and potentials, from the root.
+        nbrs = defaultdict(list)
+        for arc in core:
+            u, v = (root, arc - e + n) if arc >= e else (n + arc // n, arc % n)
+            nbrs[u].append((v, arc))
+            nbrs[v].append((u, arc))
+        up = {root: (-1, -1)}
+        pot = {root: 0}
+        stack = [root]
         while stack:
-            v = stack.pop()
-            order.append(v)
-            if v >= n:
-                i = v - n
-                children = []
-                for j in cluster_leaves[i]:
-                    parent[j] = v
-                    parent_edge[j] = i * n + j
-                    children.append(j)
-                for j, arc in cluster_splits[i]:
-                    if j in seen_point:
-                        continue
-                    seen_point.add(j)
-                    parent[j] = v
-                    parent_edge[j] = arc
-                    children.append(j)
-                stack.extend(reversed(children))
-            else:
-                children = []
-                for i, arc in point_adj.get(v, ()):
-                    if not seen_cluster[i]:
-                        seen_cluster[i] = True
-                        parent[n + i] = v
-                        parent_edge[n + i] = arc
-                        children.append(n + i)
-                stack.extend(reversed(children))
+            u = stack.pop()
+            for v, arc in nbrs[u]:
+                if v in up:
+                    continue
+                up[v] = (u, arc)
+                if arc >= e:
+                    pot[v] = pot[u]
+                elif v >= n:
+                    pot[v] = pot[u] - cost[arc]    # cluster below its split point
+                else:
+                    pot[v] = pot[u] + cost[arc]    # split point below a cluster
+                    owner[v] = u - n
+                stack.append(v)
+        pi_cl[:] = [pot[v] for v in range(n, root)]
+        return up
 
-    # Depth-first thread (cyclic), subtree sizes, last descendants.
-    next_ = [0] * N
-    prev = [0] * N
-    for a, b in zip(order, order[1:]):
-        next_[a] = b
-        prev[b] = a
-    next_[order[-1]] = order[0]
-    prev[order[0]] = order[-1]
-    size = [1] * N
-    last = list(range(N))
-    for v in reversed(order[1:]):
-        p = parent[v]
-        size[p] += size[v]
-        if last[p] == p:
-            last[p] = last[v]
+    def to_root(v):
+        nodes, arcs = [v], []
+        if v not in up:                            # leaf point
+            arcs.append(int(owner[v]) * n + v)
+            v = n + int(owner[v])
+            nodes.append(v)
+        while v != root:
+            v, arc = up[v]
+            nodes.append(v)
+            arcs.append(arc)
+        return nodes, arcs
 
-    # Node potentials: rc of every tree arc is zero.  Root and anchor
-    # clusters sit at 0 because artificial arcs cost 0.
-    if exact:
-        pi = np.zeros(N, dtype=np.int64)
-    else:
-        pi = np.zeros(N, dtype=np.float64)
-    Cflat = C2.ravel()
-    for v in order[1:]:
-        a = parent_edge[v]
-        p = parent[v]
-        if a >= e:
-            pi[v] = pi[p]
-        elif v >= n:
-            # v is the arc's head (cluster): pi[T] = pi[S] - c
-            pi[v] = pi[p] - Cflat[a]
-        else:
-            # v is the arc's tail (point): pi[S] = pi[T] + c
-            pi[v] = pi[p] + Cflat[a]
+    def tail(arc):
+        return arc % n if arc < e else n + arc - e
 
-    if exact:
-        tol = 0
-    else:
-        tol = ENTER_TOL * max(1.0, float(problem.costs.max(initial=0.0)))
-
-    rc_buf = np.empty((k, n), dtype=pi.dtype)
-
-    def entering_dantzig():
-        np.subtract(pi[n:n + k, None], pi[None, :n], out=rc_buf)
-        np.add(rc_buf, C2, out=rc_buf)
-        a = int(np.argmin(rc_buf.ravel()))
-        if rc_buf.ravel()[a] < -tol:
-            return a
-        return -1
-
-    def entering_bland():
-        np.subtract(pi[n:n + k, None], pi[None, :n], out=rc_buf)
-        np.add(rc_buf, C2, out=rc_buf)
-        mask = rc_buf.ravel() < -tol
-        a = int(np.argmax(mask))
-        if mask[a]:
-            return a
-        return -1
-
-    def find_apex(p, q):
-        sp, sq = size[p], size[q]
-        while True:
-            while sp < sq:
-                p = parent[p]
-                sp = size[p]
-            while sp > sq:
-                q = parent[q]
-                sq = size[q]
-            if sp == sq:
-                if p == q:
-                    return p
-                p = parent[p]
-                sp = size[p]
-                q = parent[q]
-                sq = size[q]
-
-    def trace_path(p, w):
-        nodes = [p]
-        edges = []
-        while p != w:
-            edges.append(parent_edge[p])
-            p = parent[p]
-            nodes.append(p)
-        return nodes, edges
-
-    def arc_tail(a):
-        return a % n if a < e else n + (a - e)
-
-    def arc_head(a):
-        return n + a // n if a < e else root
-
-    def find_cycle(a, p, q):
-        # Cycle containing the entering arc, oriented p -> q, listed from the apex.
-        w = find_apex(p, q)
-        nodes, edges = trace_path(p, w)
-        nodes.reverse()
-        edges.reverse()
-        edges.append(a)
-        nodes_q, edges_q = trace_path(q, w)
-        del nodes_q[-1]
-        nodes += nodes_q
-        edges += edges_q
-        return nodes, edges
-
-    def residual(a, frm):
-        # Uncapacitated: only arcs traversed against their direction block.
-        return INF if arc_tail(a) == frm else int(flows[a])
-
-    def remove_edge(s, t):
-        size_t = size[t]
-        prev_t = prev[t]
-        last_t = last[t]
-        next_last_t = next_[last_t]
-        parent[t] = -1
-        parent_edge[t] = -1
-        next_[prev_t] = next_last_t
-        prev[next_last_t] = prev_t
-        next_[last_t] = t
-        prev[t] = last_t
-        while s != -1:
-            size[s] -= size_t
-            if last[s] == last_t:
-                last[s] = prev_t
-            s = parent[s]
-
-    def make_root(q):
-        ancestors = []
-        while q != -1:
-            ancestors.append(q)
-            q = parent[q]
-        ancestors.reverse()
-        for p, q in zip(ancestors, ancestors[1:]):
-            size_p = size[p]
-            last_p = last[p]
-            prev_q = prev[q]
-            last_q = last[q]
-            next_last_q = next_[last_q]
-            parent[p] = q
-            parent[q] = -1
-            parent_edge[p] = parent_edge[q]
-            parent_edge[q] = -1
-            size[p] = size_p - size[q]
-            size[q] = size_p
-            next_[prev_q] = next_last_q
-            prev[next_last_q] = prev_q
-            next_[last_q] = q
-            prev[q] = last_q
-            if last_p == last_q:
-                last[p] = prev_q
-                last_p = prev_q
-            prev[p] = last_q
-            next_[last_q] = p
-            next_[last_p] = q
-            prev[q] = last_p
-            last[q] = last_p
-
-    def add_edge(a, p, q):
-        last_p = last[p]
-        next_last_p = next_[last_p]
-        size_q = size[q]
-        last_q = last[q]
-        parent[q] = p
-        parent_edge[q] = a
-        next_[last_p] = q
-        prev[q] = last_p
-        prev[next_last_p] = last_q
-        next_[last_q] = next_last_p
-        while p != -1:
-            size[p] += size_q
-            if last[p] == last_p:
-                last[p] = last_q
-            p = parent[p]
-
-    def update_potentials(a, p, q):
-        if q == arc_head(a):
-            d = pi[p] - Cflat[a] - pi[q]
-        else:
-            d = pi[p] + Cflat[a] - pi[q]
-        v = q
-        l = last[q]
-        pi[v] += d
-        while v != l:
-            v = next_[v]
-            pi[v] += d
-
+    up = walk()
+    tol = 0 if exact else ENTER_TOL * max(1.0, float(problem.costs.max(initial=0.0)))
+    rc = np.empty((k, n), dtype=C2.dtype)
     pivots = 0
     degenerate_streak = 0
     max_pivots = 1000 + 200 * (n + k) * max(4, k)
     while True:
-        a = entering_bland() if degenerate_streak >= _BLAND_AFTER else entering_dantzig()
-        if a < 0:
+        # Pricing: Dantzig, or Bland (lowest eligible arc) after a long
+        # degenerate streak.
+        np.subtract(pi_cl[:, None], (pi_cl[owner] + C2[owner, cols])[None, :], out=rc)
+        np.add(rc, C2, out=rc)
+        flat = rc.ravel()
+        a = int(np.argmax(flat < -tol) if degenerate_streak >= _BLAND_AFTER else np.argmin(flat))
+        if not flat[a] < -tol:
             break
         pivots += 1
         if pivots > max_pivots:
             raise RuntimeError(f"network simplex exceeded {max_pivots} pivots; "
                                "this indicates a bug, please report it")
-        p, q = arc_tail(a), arc_head(a)
-        nodes, edges = find_cycle(a, p, q)
-        # Leaving arc: minimum residual, scanning the cycle backwards so ties
-        # pick the last blocking arc from the apex (keeps the tree strongly
-        # feasible, which prevents cycling).
-        best_res = INF
-        j = s_node = -1
-        for arc, node in zip(reversed(edges), reversed(nodes)):
-            res = residual(arc, node)
-            if res < best_res:
-                best_res = res
-                j, s_node = arc, node
-        delta = best_res
+        i, j = divmod(a, n)
+        # Cycle of the entering arc, as (arc, node it is traversed from), from
+        # the apex down to j, across a, and from cluster i back up.
+        pn, pa = to_root(j)
+        qn, qa = to_root(n + i)
+        while len(pn) > 1 and len(qn) > 1 and pn[-2] == qn[-2]:
+            del pn[-1], pa[-1], qn[-1], qa[-1]
+        cycle = [*zip(reversed(pa), reversed(pn[1:])), (a, j), *zip(qa, qn)]
+        if j not in up:
+            core[pa[0]] = supply                   # j's leaf arc joins the core
+        core[a] = 0
+        # Leaving arc: minimum residual, the last such arc from the apex (keeps
+        # the tree strongly feasible, which prevents cycling).  Only arcs
+        # traversed against their direction block.
+        delta, out = INF, -1
+        for arc, node in reversed(cycle):
+            if tail(arc) != node and core[arc] < delta:
+                delta, out = core[arc], arc
         degenerate_streak = degenerate_streak + 1 if delta == 0 else 0
-        if delta > 0:
-            for arc, node in zip(edges, nodes):
-                if arc_tail(arc) == node:
-                    flows[arc] += delta
-                else:
-                    flows[arc] -= delta
-        # Swap the entering and leaving arcs in the tree.
-        t_node = arc_head(j) if arc_tail(j) == s_node else arc_tail(j)
-        if parent[t_node] != s_node:
-            s_node, t_node = t_node, s_node
-        if edges.index(a) > edges.index(j):
-            p, q = q, p
-        remove_edge(s_node, t_node)
-        make_root(q)
-        add_edge(a, p, q)
-        update_potentials(a, p, q)
+        if delta:
+            for arc, node in cycle:
+                core[arc] += delta if tail(arc) == node else -delta
+        del core[out]
+        if out < e:
+            rest = [arc for arc in core if arc < e and arc % n == out % n]
+            if len(rest) == 1:                     # its point is a leaf again
+                owner[out % n] = rest[0] // n
+                del core[rest[0]]
+        up = walk()
 
-    return flows[:e], pi, pivots
+    flows = np.zeros(e, dtype=np.int64)
+    is_leaf = np.ones(n, dtype=bool)
+    is_leaf[[v for v in up if v < n]] = False
+    flows[(owner * n + cols)[is_leaf]] = supply
+    for arc, f in core.items():
+        if arc < e:
+            flows[arc] = f
+    pi = np.zeros(root + 1, dtype=C2.dtype)
+    pi[:n] = pi_cl[owner] + C2[owner, cols]
+    pi[n:root] = pi_cl
+    return flows, pi, pivots
 
 
 def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:

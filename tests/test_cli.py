@@ -201,6 +201,17 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_coarsen_rejects_nan_site(tmp_path, capsys):
+    doc = json.loads(GOLDEN.read_text())
+    doc["sites"][0] = [float("nan")]
+    src = tmp_path / "nan.json"
+    src.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+    out = tmp_path / "nan.coarse.json"
+    assert main(["coarsen", str(src), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_runs():
     out = subprocess.run([sys.executable, "-c",
                           "from gridcoreset.cli import main; import sys; "

@@ -104,6 +104,12 @@ def test_instance_validation():
         Instance(k=2, rho=(2,), kappa=(0.5, 0.5), epsilon=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_instance_rejects_non_finite_sites(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Instance(k=2, rho=(4,), kappa=(0.5, 0.5), sites=[[bad], [0.5]])
+
+
 def test_kappa_on_grid_flag():
     # Multiples of nu(rho)=0.25 are on-grid; 1/8 units are not.
     assert Instance(k=2, rho=(2,), kappa=(0.25, 0.75)).kappa_on_grid

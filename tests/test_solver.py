@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridcoreset.diagrams import check_compatibility, from_duals
 from gridcoreset.grid import as_resolution, coords_array, voxel_volume
 from gridcoreset.model import (
     Instance,
@@ -115,6 +118,58 @@ def test_matches_reference_lp():
         res = solve_assignment(inst)
         ref = reference_lp_objective(inst)
         assert abs(res.objective - ref) <= 1e-9 * (1 + abs(ref))
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Small instances rich in ties: coincident sites, sites on grid points,
+    sites outside the unit cube, dyadic or float coordinates, weights on or
+    off the grid."""
+    d = draw(st.integers(1, 3))
+    exps = tuple(draw(st.integers(0, 6 // d)) for _ in range(d))
+    n = as_resolution(exps).n
+    k = draw(st.integers(1, min(5, n)))
+    bits = sum(exps) + draw(st.sampled_from([0, 0, 1, 3]))
+    cuts = sorted(draw(st.lists(st.integers(1, max(1, (1 << bits) - 1)), min_size=k - 1,
+                                max_size=k - 1, unique=True)))
+    units = np.diff([0, *cuts, 1 << bits])
+    dyadic = draw(st.booleans())
+    sites = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["dup", "grid", "dyadic" if dyadic else "float"]))
+        if kind == "dup" and sites:
+            sites.append(list(draw(st.sampled_from(sites))))
+        elif kind == "grid":
+            sites.append([(2 * draw(st.integers(1, 1 << e)) - 1) / (2 << e) for e in exps])
+        elif dyadic:
+            den = 1 << draw(st.integers(0, 8))
+            sites.append([draw(st.integers(-3 * den, 4 * den)) / den for _ in exps])
+        else:
+            sites.append([draw(st.floats(-3.0, 4.0)) for _ in exps])
+    inst = Instance(k=k, rho=exps, kappa=tuple(int(u) / (1 << bits) for u in units),
+                    sites=sites)
+    return inst, dyadic
+
+
+@given(degenerate_instances())
+@settings(max_examples=150, deadline=None)
+def test_degenerate_bases_match_reference_lp(case):
+    inst, dyadic = case
+    res = solve_assignment(inst)
+    ref = reference_lp_objective(inst)
+    assert abs(res.objective - ref) <= 1e-9 * (1 + abs(ref))
+    assert res.exact or not dyadic
+    gap = res.objective - res.dual_objective
+    if res.exact:
+        assert gap == 0.0
+    else:
+        assert abs(gap) <= 1e-9 * (1 + abs(res.objective))
+    report = check_compatibility(res.clustering, from_duals(inst.sites, res.duals), inst.rho)
+    assert report.compatible, report.worst_violation
+    assert res.fractional_count <= 2 * (inst.k - 1)
+    if inst.kappa_on_grid:
+        assert res.fractional_count == 0
+    assert cluster_weights(res.clustering, inst.rho).tolist() == list(inst.kappa)
 
 
 def test_integer_optimum_on_grid_weights():
