@@ -6,13 +6,11 @@ coresets with an exact additive offset, and power diagrams certify
 optimality.  See the README for the command-line interface.
 """
 
-from .grid import (Batch, HuygensDecomposition, Resolution, as_resolution,
-                   batch_centroid, batch_error, batch_error_exact, batch_of,
-                   coords_array, huygens_cost, merge_index, merge_map,
-                   point_coords, scatter, voxel_volume)
+from .grid import (Resolution, as_resolution, batch_error, batch_error_exact,
+                   coords_array, merge_map, voxel_volume)
 from .model import (Clustering, Instance, NormFamily, centroids,
                     check_constraints, cluster_weights, cost_centroid,
-                    cost_sites, eigen_bounds)
+                    cost_sites, site_array, sq_dists)
 from .solver import (AlternateOutcome, SolveResult, TransportProblem,
                      alternate_minimize, build_transport, solve_assignment)
 from .coreset import (CoarseSolve, CoresetPlan, SizeReport, coarsening_exponent,
@@ -23,18 +21,14 @@ from .diagrams import (CompatibilityReport, PowerDiagram, assign,
                        check_compatibility, from_duals)
 from .oracle import (BruteForceResult, Opt1DResult, brute_force_constrained,
                      lower_bound_1d, opt1d_closed, opt1d_dp)
-from .cli import (generate_instance, instance_from_dict, load_instance,
-                  save_instance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "HuygensDecomposition", "Resolution", "as_resolution",
-    "batch_centroid", "batch_error", "batch_error_exact", "batch_of",
-    "coords_array", "huygens_cost", "merge_index", "merge_map",
-    "point_coords", "scatter", "voxel_volume",
+    "Resolution", "as_resolution", "batch_error", "batch_error_exact",
+    "coords_array", "merge_map", "voxel_volume",
     "Clustering", "Instance", "NormFamily", "centroids", "check_constraints",
-    "cluster_weights", "cost_centroid", "cost_sites", "eigen_bounds",
+    "cluster_weights", "cost_centroid", "cost_sites", "site_array", "sq_dists",
     "AlternateOutcome", "SolveResult", "TransportProblem",
     "alternate_minimize", "build_transport", "solve_assignment",
     "CoarseSolve", "CoresetPlan", "SizeReport", "coarsening_exponent",
@@ -45,7 +39,5 @@ __all__ = [
     "from_duals",
     "BruteForceResult", "Opt1DResult", "brute_force_constrained",
     "lower_bound_1d", "opt1d_closed", "opt1d_dp",
-    "generate_instance", "instance_from_dict", "load_instance",
-    "save_instance",
     "__version__",
 ]

@@ -22,8 +22,9 @@ import numpy as np
 from .coreset import (CoresetPlan, make_plan, extend, size_report, solve_coarse,
                       transfer_bound, verify_property_a, verify_property_b)
 from .diagrams import check_compatibility, from_duals
-from .grid import Resolution, as_resolution, coords_array, voxel_volume
-from .model import Clustering, Instance, NormFamily, cost_sites
+from .grid import Resolution, as_resolution, coords_array
+from .model import (Clustering, Instance, NormFamily, cluster_weights, cost_sites,
+                    sq_dists)
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
 from .solver import solve_assignment
 
@@ -119,10 +120,8 @@ def generate_instance(d: int, rho, k: int, seed: int,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_GEN, attempt)))
         sites = rng.uniform(0.0, 1.0, size=(k, d))
         gammas = rng.uniform(0.0, 0.1, size=k)
-        powers = np.empty((k, rho.n))
-        for i in range(k):
-            diff = pts - sites[i]
-            powers[i] = np.einsum("nd,nd->n", diff, diff) + gammas[i]
+        powers = sq_dists(pts, sites)
+        powers += gammas[:, None]
         counts = np.bincount(np.argmin(powers, axis=0), minlength=k)
         if np.all(counts > 0):
             break
@@ -157,7 +156,7 @@ def _fmt(value) -> str:
 
 
 class _Reporter:
-    """Collects ReportRows; optionally writes them as CSV with a fixed header."""
+    """Collects ReportRows; writes them as CSV with a fixed header."""
 
     def __init__(self, instance_id: str, seed: int):
         self.instance_id = instance_id
@@ -172,12 +171,15 @@ class _Reporter:
         self.rows.append(row)
         return row
 
-    def write(self, path) -> None:
+    def write(self, fh) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
+        writer.writerows([_fmt(row[f]) for f in CSV_FIELDS] for row in self.rows)
+
+    def save(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_FIELDS)
-            for row in self.rows:
-                writer.writerow([_fmt(row[f]) for f in CSV_FIELDS])
+            self.write(fh)
+        print(f"wrote {path} ({len(self.rows)} rows)")
 
 
 def _row_to_stderr(row: dict) -> None:
@@ -205,8 +207,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    if inst.sites is None:
-        raise ValueError("instance has no sites; add them or use gen")
     resolution = as_resolution(_parse_axes(args.tau)) if args.tau else None
     t0 = time.perf_counter()
     res = solve_assignment(inst, resolution=resolution)
@@ -218,8 +218,7 @@ def _cmd_solve(args) -> int:
     print(f"pivots {res.pivots}")
     print(f"exact_arithmetic {res.exact}")
     print(f"wall_time_s {dt:.6f}")
-    weights = np.bincount(res.clustering.rows, weights=res.clustering.vals,
-                          minlength=inst.k) * float(voxel_volume(res.resolution))
+    weights = cluster_weights(res.clustering, res.resolution)
     print("weights " + " ".join(repr(float(w)) for w in weights))
     if args.out:
         doc = {"resolution": list(res.resolution.exponents), "objective": res.objective,
@@ -324,8 +323,7 @@ def _cmd_verify(args) -> int:
     else:
         bad = _verify_anisotropic(inst, plan, reporter, args.trials, args.seed)
     if args.out:
-        reporter.write(args.out)
-        print(f"wrote {args.out} ({len(reporter.rows)} rows)")
+        reporter.save(args.out)
     if bad is not None:
         _row_to_stderr(bad)
         return 3
@@ -357,13 +355,9 @@ def _cmd_bench(args) -> int:
                      speedup=t_full / t_coarse, wall_time_s=t_coarse,
                      fractional_count=lifted.coarse.fractional_count)
     if args.out:
-        reporter.write(args.out)
-        print(f"wrote {args.out} ({len(reporter.rows)} rows)")
+        reporter.save(args.out)
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_FIELDS)
-        for row in reporter.rows:
-            writer.writerow([_fmt(row[f]) for f in CSV_FIELDS])
+        reporter.write(sys.stdout)
     return 0
 
 

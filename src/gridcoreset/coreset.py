@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import Resolution, as_resolution, batch_error_exact, merge_map
-from .model import Clustering, Instance, NormFamily, cost_sites
+from .model import Clustering, Instance, NormFamily, cost_sites, site_array
 from .solver import SolveResult, solve_assignment
 
 PROPERTY_A_TOL = 1e-10
@@ -102,7 +102,7 @@ def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
     rho = as_resolution(rho)
     tau_star = coarsening_exponent(k, epsilon)
     if tau is None:
-        tau = Resolution(tuple(min(e, tau_star) for e in rho.exponents))
+        tau = target_resolution(k, epsilon, rho)
     else:
         tau = as_resolution(tau)
         if tau.d != rho.d:
@@ -201,10 +201,7 @@ def solve_coarse(instance: Instance, sites=None, plan: CoresetPlan | None = None
     """
     if plan is None:
         plan = make_plan(instance.k, instance.epsilon, instance.rho)
-    if sites is None:
-        sites = instance.sites
-    if sites is None:
-        raise ValueError("no sites: pass sites= or construct the instance with sites")
+    sites = site_array(instance.sites if sites is None else sites, instance.k, instance.d)
     if norms is None:
         norms = instance.norms
     euclid = instance if instance.norms is None else Instance(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import as_resolution, coords_array
-from .model import Clustering
+from .model import Clustering, site_array, sq_dists
 
 # Power-distance differences below this count as a tie (a cell boundary).
 BOUNDARY_TOL = 1e-9
@@ -29,14 +29,12 @@ class PowerDiagram:
     gamma: np.ndarray
 
     def __post_init__(self):
-        sites = np.asarray(self.sites, dtype=np.float64)
-        if sites.ndim == 1:
-            sites = sites.reshape(-1, 1)
         gamma = np.asarray(self.gamma, dtype=np.float64).ravel()
-        if sites.shape[0] != gamma.size:
-            raise ValueError(f"{sites.shape[0]} sites but {gamma.size} offsets")
-        if not (np.all(np.isfinite(sites)) and np.all(np.isfinite(gamma))):
-            raise ValueError("sites and offsets must be finite")
+        if not np.all(np.isfinite(gamma)):
+            raise ValueError("offsets must be finite")
+        # One site per offset; a 1-D site vector holds k sites on a line.
+        d = np.shape(self.sites)[1] if np.ndim(self.sites) == 2 else 1
+        sites = site_array(self.sites, gamma.size, d)
         sites.setflags(write=False)
         gamma.setflags(write=False)
         object.__setattr__(self, "sites", sites)
@@ -57,22 +55,14 @@ class PowerDiagram:
             pts = pts.reshape(1, 1)
         elif pts.ndim == 1:
             pts = pts.reshape(-1, 1) if self.d == 1 else pts.reshape(1, -1)
-        out = np.empty((self.k, pts.shape[0]), dtype=np.float64)
-        for i in range(self.k):
-            diff = pts - self.sites[i]
-            out[i] = np.einsum("nd,nd->n", diff, diff) + self.gamma[i]
+        out = sq_dists(pts, self.sites)
+        out += self.gamma[:, None]
         return out
 
 
 def from_duals(sites, duals) -> PowerDiagram:
     """Diagram induced by cluster potentials: gamma_i = -mu_i."""
-    sites = np.asarray(sites, dtype=np.float64)
-    duals = np.asarray(duals, dtype=np.float64).ravel()
-    if sites.ndim == 1:
-        sites = sites.reshape(-1, 1)
-    if sites.shape[0] != duals.size:
-        raise ValueError(f"{sites.shape[0]} sites but {duals.size} duals")
-    return PowerDiagram(sites=sites, gamma=-duals)
+    return PowerDiagram(sites=sites, gamma=-np.asarray(duals, dtype=np.float64))
 
 
 def assign(diagram: PowerDiagram, points):

@@ -1,9 +1,9 @@
-"""Implicit dyadic grids on [0,1]^d: index arithmetic, merging, batch errors.
+"""Implicit dyadic grids on [0,1]^d: coordinates, merge maps, batch errors.
 
 A resolution vector rho = (rho_1, ..., rho_d) defines the point set X(rho)
 whose points are the centers of the 2^{rho_1} x ... x 2^{rho_d} uniform
 voxels of the unit cube.  Points are never materialized unless a caller
-asks for them; everything here works on (resolution, index) pairs.
+asks for them (coords_array); merge maps work on row-major flat indices.
 
 All coordinates, volumes and batch errors are dyadic rationals.  Their
 float64 representations are exact for every exponent this package accepts,
@@ -12,7 +12,6 @@ so equality assertions downstream are legitimate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,27 +73,6 @@ def as_resolution(value) -> Resolution:
     return Resolution(tuple(int(v) for v in value))
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Fiber p^{-1}(q) of the merging function: the fine indices of one coarse voxel."""
-
-    q: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _check_index(rho: Resolution, j: tuple[int, ...]) -> tuple[int, ...]:
-    j = tuple(int(v) for v in j)
-    if len(j) != rho.d:
-        raise ValueError(f"index has {len(j)} axes, resolution has {rho.d}")
-    for t, (jt, m) in enumerate(zip(j, rho.axis_points)):
-        if not 1 <= jt <= m:
-            raise ValueError(f"axis {t}: index {jt} out of range [1, {m}]")
-    return j
-
-
 def _check_tau(rho: Resolution, tau: Resolution) -> None:
     if tau.d != rho.d:
         raise ValueError("tau and rho must have the same dimension")
@@ -108,39 +86,6 @@ def voxel_volume(rho) -> Fraction:
     return Fraction(1, 1 << sum(rho.exponents))
 
 
-def flatten_index(rho, j: tuple[int, ...]) -> int:
-    """Row-major flat index in [0, n) of a 1-based multi-index (j_1, ..., j_d)."""
-    rho = as_resolution(rho)
-    j = _check_index(rho, j)
-    flat = 0
-    for jt, m in zip(j, rho.axis_points):
-        flat = flat * m + (jt - 1)
-    return flat
-
-
-def unflatten_index(rho, flat: int) -> tuple[int, ...]:
-    """Inverse of flatten_index."""
-    rho = as_resolution(rho)
-    flat = int(flat)
-    if not 0 <= flat < rho.n:
-        raise ValueError(f"flat index {flat} out of range [0, {rho.n})")
-    axes = []
-    for m in reversed(rho.axis_points):
-        axes.append(flat % m + 1)
-        flat //= m
-    return tuple(reversed(axes))
-
-
-def point_coords(rho, j: tuple[int, ...]) -> tuple[float, ...]:
-    """Coordinates of grid point j: x_t = (2*j_t - 1) / 2^{rho_t + 1}.
-
-    Each coordinate is an odd multiple of 2^{-(rho_t+1)}, exact in float64.
-    """
-    rho = as_resolution(rho)
-    j = _check_index(rho, j)
-    return tuple((2 * jt - 1) / (1 << (e + 1)) for jt, e in zip(j, rho.exponents))
-
-
 def coords_array(rho) -> np.ndarray:
     """All n grid points as an (n, d) float64 array in row-major flat order."""
     rho = as_resolution(rho)
@@ -150,18 +95,6 @@ def coords_array(rho) -> np.ndarray:
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def merge_index(rho, tau, j: tuple[int, ...]) -> tuple[int, ...]:
-    """The merging function p: per-axis q_t = ceil(j_t / 2^{rho_t - tau_t})."""
-    rho = as_resolution(rho)
-    tau = as_resolution(tau)
-    _check_tau(rho, tau)
-    j = _check_index(rho, j)
-    return tuple(
-        (jt - 1) // (1 << (re - te)) + 1
-        for jt, re, te in zip(j, rho.exponents, tau.exponents)
-    )
 
 
 def merge_map(rho, tau) -> np.ndarray:
@@ -177,33 +110,6 @@ def merge_map(rho, tau) -> np.ndarray:
         for axis, re, te in zip(multi, rho.exponents, tau.exponents)
     )
     return np.ravel_multi_index(coarse_multi, coarse_shape).astype(np.int64)
-
-
-def batch_of(rho, tau, q: tuple[int, ...]) -> Batch:
-    """All fine indices mapped to coarse index q; cardinality prod_t 2^{rho_t - tau_t}."""
-    rho = as_resolution(rho)
-    tau = as_resolution(tau)
-    _check_tau(rho, tau)
-    q = _check_index(tau, q)
-    per_axis = []
-    for qt, re, te in zip(q, rho.exponents, tau.exponents):
-        m = 1 << (re - te)
-        per_axis.append(range((qt - 1) * m + 1, qt * m + 1))
-    members = tuple(itertools.product(*per_axis))
-    return Batch(q=q, members=members)
-
-
-def batch_centroid(rho, tau, q: tuple[int, ...]) -> tuple[float, ...]:
-    """Centroid of batch q, which telescopes to the coarse point itself.
-
-    The batch average along axis t is ((2q_t - 1) * 2^{rho_t - tau_t}) over
-    (2^{rho_t - tau_t} * 2^{rho_t + 1}), i.e. exactly (2q_t - 1)/2^{tau_t + 1}.
-    """
-    rho = as_resolution(rho)
-    tau = as_resolution(tau)
-    _check_tau(rho, tau)
-    q = _check_index(tau, q)
-    return point_coords(tau, q)
 
 
 def batch_error_exact(rho, tau) -> Fraction:
@@ -225,65 +131,3 @@ def batch_error(rho, tau) -> float:
     by 3), so the float conversion is exact.
     """
     return float(batch_error_exact(rho, tau))
-
-
-def scatter(points, weights) -> tuple[np.ndarray, float]:
-    """Weighted centroid and weighted squared scatter V(Y) = sum w ||x - c||^2."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if pts.shape[0] == 0:
-        raise ValueError("scatter of an empty point set")
-    if w.shape[0] != pts.shape[0]:
-        raise ValueError("weights and points disagree in length")
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise ValueError("total weight must be positive")
-    centroid = (w @ pts) / total
-    diff = pts - centroid
-    value = float(w @ np.einsum("nd,nd->n", diff, diff))
-    return centroid, value
-
-
-@dataclass(frozen=True)
-class HuygensDecomposition:
-    """cost = scatter + total_weight * ||centroid - s||^2, with the residual kept."""
-
-    cost: float
-    scatter: float
-    total_weight: float
-    centroid: tuple[float, ...]
-    shift_term: float
-    residual: float
-
-
-def huygens_cost(points, weights, s) -> HuygensDecomposition:
-    """Weighted squared distance sum to s, checked against its centroid decomposition.
-
-    Raises ArithmeticError if the two sides differ by more than 1e-12 relative;
-    they agree identically in exact arithmetic, so a larger gap means the
-    inputs broke the float error model (e.g. wildly scaled weights).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    s_arr = np.asarray(s, dtype=np.float64).ravel()
-    if pts.shape[0] == 0:
-        raise ValueError("huygens_cost of an empty point set")
-    diff = pts - s_arr
-    cost = float(w @ np.einsum("nd,nd->n", diff, diff))
-    centroid, v = scatter(pts, w)
-    total = float(np.sum(w))
-    cdiff = centroid - s_arr
-    shift = total * float(cdiff @ cdiff)
-    residual = abs(cost - (v + shift))
-    if residual > 1e-12 * (1.0 + abs(cost)):
-        raise ArithmeticError(
-            f"centroid decomposition violated: |{cost} - ({v} + {shift})| = {residual}"
-        )
-    return HuygensDecomposition(
-        cost=cost,
-        scatter=v,
-        total_weight=total,
-        centroid=tuple(centroid.tolist()),
-        shift_term=shift,
-        residual=residual,
-    )

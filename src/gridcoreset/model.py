@@ -72,9 +72,40 @@ class NormFamily:
         return self.matrices.shape[1]
 
 
-def eigen_bounds(norms: NormFamily) -> tuple[float, float]:
-    """Extreme eigenvalues (lambda-, lambda+) over the whole family."""
-    return norms.lambda_min, norms.lambda_max
+def site_array(sites, k: int, d: int) -> np.ndarray:
+    """Sites as a finite (k, d) float64 array; a 1-D input is a column when d == 1, else a row.
+
+    Always a copy, so a caller that freezes the result leaves the input writable.
+    """
+    if sites is None:
+        raise ValueError("no sites: pass sites or give the instance sites")
+    s = np.array(sites, dtype=np.float64)
+    if s.ndim == 1:
+        s = s.reshape(-1, 1) if d == 1 else s.reshape(1, -1)
+    if s.shape != (k, d):
+        raise ValueError(f"sites must have shape ({k}, {d}), got {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("sites must be finite")
+    return s
+
+
+def sq_dists(points, sites, matrices=None) -> np.ndarray:
+    """(k, m) matrix of ||x_j - s_i||^2_{A_i}; A_i = matrices[i], the identity if None.
+
+    Built one site row at a time, so no (k, m, d) temporary exists.  The
+    dtype follows the inputs: int64 points and sites give exact int64 costs.
+    """
+    points = np.asarray(points)
+    sites = np.asarray(sites)
+    inputs = (points, sites) if matrices is None else (points, sites, matrices)
+    out = np.empty((sites.shape[0], points.shape[0]), dtype=np.result_type(*inputs))
+    for i in range(sites.shape[0]):
+        diff = points - sites[i]
+        if matrices is None:
+            np.einsum("nd,nd->n", diff, diff, out=out[i])
+        else:
+            np.einsum("nd,de,ne->n", diff, matrices[i], diff, out=out[i])
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,13 +159,7 @@ class Instance:
         object.__setattr__(self, "kappa_on_grid", on_grid)
 
         if self.sites is not None:
-            sites = np.asarray(self.sites, dtype=np.float64)
-            if sites.ndim == 1:
-                sites = sites.reshape(-1, 1)
-            if sites.shape != (k, rho.d):
-                raise ValueError(f"sites must have shape ({k}, {rho.d}), got {sites.shape}")
-            if not np.all(np.isfinite(sites)):
-                raise ValueError("sites must be finite")
+            sites = site_array(self.sites, k, rho.d)
             sites.setflags(write=False)
             object.__setattr__(self, "sites", sites)
 
@@ -256,15 +281,6 @@ def check_constraints(C: Clustering, instance: Instance) -> tuple[bool, float]:
     return violation <= CONSTRAINT_TOL, violation
 
 
-def _site_array(sites, k: int, d: int) -> np.ndarray:
-    s = np.asarray(sites, dtype=np.float64)
-    if s.ndim == 1:
-        s = s.reshape(-1, 1) if d == 1 else s.reshape(1, -1)
-    if s.shape != (k, d):
-        raise ValueError(f"sites must have shape ({k}, {d}), got {s.shape}")
-    return s
-
-
 def cost_sites(C: Clustering, sites, rho, norms: NormFamily | None = None) -> float:
     """Assignment cost sum_ij xi_ij nu ||x_j - s_i||^2_{A_i}.
 
@@ -274,7 +290,7 @@ def cost_sites(C: Clustering, sites, rho, norms: NormFamily | None = None) -> fl
     rho = as_resolution(rho)
     if C.n != rho.n:
         raise ValueError(f"clustering has {C.n} points, grid has {rho.n}")
-    s = _site_array(sites, C.k, rho.d)
+    s = site_array(sites, C.k, rho.d)
     if norms is not None and (norms.k != C.k or norms.d != rho.d):
         raise ValueError("norm family does not match clustering dimensions")
     pts = coords_array(rho)
@@ -283,12 +299,8 @@ def cost_sites(C: Clustering, sites, rho, norms: NormFamily | None = None) -> fl
     for i, sl in enumerate(C.cluster_slices()):
         if sl.start == sl.stop:
             continue
-        diff = pts[C.cols[sl]] - s[i]
-        if norms is None:
-            sq = np.einsum("nd,nd->n", diff, diff)
-        else:
-            sq = np.einsum("nd,de,ne->n", diff, norms.matrices[i], diff)
-        total += float(C.vals[sl] @ sq)
+        mat = None if norms is None else norms.matrices[i:i + 1]
+        total += float(C.vals[sl] @ sq_dists(pts[C.cols[sl]], s[i:i + 1], mat)[0])
     return nu * total
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import coords_array, voxel_volume
-from .model import Clustering, Instance
+from .model import Clustering, Instance, site_array, sq_dists
 
 # DP work and memory grow as 8^rho; this cap keeps a full table under a second.
 MAX_DP_RESOLUTION = 11
@@ -185,25 +185,15 @@ def brute_force_constrained(instance: Instance, sites=None) -> BruteForceResult:
         raise ValueError(f"brute force handles at most {MAX_BRUTE_CLUSTERS} clusters, got {k}")
     if not instance.kappa_on_grid:
         raise ValueError("weights must be integer multiples of the voxel volume")
-    if sites is None:
-        sites = instance.sites
-    if sites is None:
-        raise ValueError("no sites: pass sites= or construct the instance with sites")
-    s = np.asarray(sites, dtype=np.float64).reshape(k, rho.d)
+    s = site_array(instance.sites if sites is None else sites, k, rho.d)
 
     target = [Fraction(u, 1 << instance.kappa_bits) * n for u in instance.kappa_units]
     counts_needed = np.array([int(t) for t in target], dtype=np.int64)
     assert all(t.denominator == 1 for t in target)
 
-    pts = coords_array(rho)
     nu = float(voxel_volume(rho))
-    cost_pt = np.empty((k, n), dtype=np.float64)
-    for i in range(k):
-        diff = pts - s[i]
-        if instance.norms is None:
-            cost_pt[i] = np.einsum("nd,nd->n", diff, diff)
-        else:
-            cost_pt[i] = np.einsum("nd,de,ne->n", diff, instance.norms.matrices[i], diff)
+    cost_pt = sq_dists(coords_array(rho), s,
+                       None if instance.norms is None else instance.norms.matrices)
 
     labels = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64)
     counts = (labels[:, :, None] == np.arange(k)).sum(axis=1)

@@ -35,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import Resolution, as_resolution, coords_array
-from .model import Clustering, Instance, NormFamily, centroids, cluster_weights
+from .model import (Clustering, Instance, centroids, cluster_weights, site_array,
+                    sq_dists)
 
 # Dense arc cap: beyond this, refuse and point the caller at coarsening.
 MAX_ARCS = 50_000_000
@@ -118,17 +119,7 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
     r = as_resolution(resolution) if resolution is not None else rho
     if not r <= rho:
         raise ValueError(f"solve resolution {r.exponents} not componentwise <= rho={rho.exponents}")
-    if sites is None:
-        sites = instance.sites
-    if sites is None:
-        raise ValueError("no sites: pass sites= or construct the instance with sites")
-    s = np.asarray(sites, dtype=np.float64)
-    if s.ndim == 1:
-        s = s.reshape(-1, 1) if rho.d == 1 else s.reshape(1, -1)
-    if s.shape != (instance.k, rho.d):
-        raise ValueError(f"sites must have shape ({instance.k}, {rho.d}), got {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("sites must be finite")
+    s = site_array(instance.sites if sites is None else sites, instance.k, rho.d)
 
     k = instance.k
     n = r.n
@@ -144,13 +135,7 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
     demands = tuple(u << (L - instance.kappa_bits) for u in instance.kappa_units)
 
     pts = coords_array(r)
-    costs = np.empty((k, n), dtype=np.float64)
-    for i in range(k):
-        diff = pts - s[i]
-        if instance.norms is None:
-            costs[i] = np.einsum("nd,nd->n", diff, diff)
-        else:
-            costs[i] = np.einsum("nd,de,ne->n", diff, instance.norms.matrices[i], diff)
+    costs = sq_dists(pts, s, None if instance.norms is None else instance.norms.matrices)
 
     # Exact integer costs when isotropic and all coordinates share a small
     # power-of-two denominator.  Point coordinates live over 2^(r_t+1); the
@@ -170,12 +155,7 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
             # cost sums along tree paths, at most 2k+4 terms, each at most
             # 25 * d * 4^bits (coordinates differ by at most 5 * 2^bits).
             if (2 * k + 4) * 25 * rho.d * (4 ** bits) < 2 ** 62:
-                pts_int = _dyadic_int_grid(pts, bits)
-                ic = np.empty((k, n), dtype=np.int64)
-                for i in range(k):
-                    diff = pts_int - site_ints[i]
-                    ic[i] = np.einsum("nd,nd->n", diff, diff)
-                int_costs = ic
+                int_costs = sq_dists(_dyadic_int_grid(pts, bits), site_ints)
                 cost_bits = bits
 
     return TransportProblem(
@@ -460,7 +440,7 @@ def alternate_minimize(
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     if init_sites is not None:
-        sites = np.asarray(init_sites, dtype=np.float64).reshape(instance.k, instance.d)
+        sites = site_array(init_sites, instance.k, instance.d)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ALTMIN_STREAM,)))
         sites = rng.uniform(0.0, 1.0, size=(instance.k, instance.d))

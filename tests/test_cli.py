@@ -219,3 +219,13 @@ def test_console_script_runs():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "dp_cost 0.01953125" in out.stdout
+
+
+def test_module_runs_without_runpy_warning():
+    # The package root must not import cli, or `python -m` warns that the
+    # module is already in sys.modules before it runs as __main__.
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          "gridcoreset.cli", "oracle", "--rho", "3", "--k", "2"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "dp_cost 0.01953125" in out.stdout

@@ -1,4 +1,4 @@
-"""Grid geometry: coordinates, merge maps, batches, scatter identities."""
+"""Grid geometry: coordinates, merge maps, batch errors, the Huygens identity."""
 
 from fractions import Fraction
 
@@ -10,26 +10,19 @@ from hypothesis import strategies as st
 from gridcoreset.grid import (
     MAX_AXIS_EXPONENT,
     MAX_TOTAL_EXPONENT,
-    Resolution,
     as_resolution,
-    batch_centroid,
     batch_error,
     batch_error_exact,
-    batch_of,
     coords_array,
-    flatten_index,
-    huygens_cost,
-    merge_index,
     merge_map,
-    point_coords,
-    scatter,
-    unflatten_index,
     voxel_volume,
 )
+from gridcoreset.model import sq_dists
 
 from exact_refs import (
     batch_members,
     exact_delta,
+    exact_indices,
     exact_point,
     exact_points,
     exact_scatter,
@@ -52,25 +45,32 @@ def test_voxel_volume_frozen():
 
 
 def test_point_coords_frozen():
-    assert point_coords((0,), (1,)) == (0.5,)
-    assert point_coords((2,), (1,)) == (0.125,)
-    assert point_coords((2,), (4,)) == (0.875,)
+    assert coords_array((0,)).tolist() == [[0.5]]
+    assert coords_array((2,))[0].tolist() == [0.125]
+    assert coords_array((2,))[3].tolist() == [0.875]
+    assert coords_array((1, 2))[6].tolist() == [0.75, 0.625]
 
 
 def test_merge_index_frozen():
-    assert merge_index((3,), (1,), (5,)) == (2,)
-    assert merge_index((3, 2), (1, 2), (4, 3)) == (1, 3)
+    # Flat indices: fine point 5 of 8 lies in coarse voxel 2 of 2; fine
+    # (4, 3) of an 8x4 grid lies in coarse (1, 3) of a 2x4 grid.
+    assert merge_map((3,), (1,))[4] == 1
+    assert merge_map((3, 2), (1, 2))[3 * 4 + 2] == 0 * 4 + 2
 
 
 def test_batch_of_frozen():
-    assert set(batch_of((3,), (1,), (1,)).members) == {(1,), (2,), (3,), (4,)}
-    assert set(batch_of((2, 2), (1, 1), (2, 2)).members) == {
-        (3, 3), (3, 4), (4, 3), (4, 4)}
+    assert np.flatnonzero(merge_map((3,), (1,)) == 0).tolist() == [0, 1, 2, 3]
+    # Coarse voxel (2, 2) of a 2x2 grid holds fine (3..4, 3..4) of a 4x4 grid.
+    assert np.flatnonzero(merge_map((2, 2), (1, 1)) == 3).tolist() == [10, 11, 14, 15]
 
 
 def test_batch_centroid_frozen():
-    assert batch_centroid((3,), (1,), (1,)) == (0.25,)
-    assert batch_centroid((2, 2), (1, 1), (2, 2)) == (0.75, 0.75)
+    # A batch's centroid telescopes to its coarse point.
+    fine, coarse = coords_array((3,)), coords_array((1,))
+    assert fine[merge_map((3,), (1,)) == 0].mean(axis=0).tolist() == coarse[0].tolist()
+    fine, coarse = coords_array((2, 2)), coords_array((1, 1))
+    assert fine[merge_map((2, 2), (1, 1)) == 3].mean(axis=0).tolist() == [0.75, 0.75]
+    assert coarse[3].tolist() == [0.75, 0.75]
 
 
 def test_batch_error_frozen():
@@ -79,26 +79,18 @@ def test_batch_error_frozen():
     assert batch_error((3,), (3,)) == 0.0
 
 
-def test_scatter_frozen():
-    pts = coords_array((1,))
-    centroid, value = scatter(pts, [0.5, 0.5])
-    assert centroid[0] == 0.5
-    assert value == 0.0625
-
-
 def test_huygens_frozen():
+    # cost to s = scatter + total weight * ||centroid - s||^2.
     pts = coords_array((1,))
-    dec = huygens_cost(pts, [0.5, 0.5], [0.0])
-    assert dec.cost == 0.3125
-    assert dec.scatter == 0.0625
-    assert dec.shift_term == 0.25
+    cost = float(np.dot([0.5, 0.5], sq_dists(pts, [[0.0]])[0]))
+    centroid, value = exact_scatter(exact_points((1,)), [Fraction(1, 2)] * 2)
+    assert (cost, value, centroid) == (0.3125, Fraction(1, 16), (Fraction(1, 2),))
+    assert cost == value + 1 * centroid[0] ** 2
 
-    batch = batch_of((3,), (1,), (1,))
-    pts = np.array([point_coords((3,), j) for j in batch.members])
+    pts = coords_array((3,))[merge_map((3,), (1,)) == 0]
     w = [float(voxel_volume((3,)))] * 4
-    dec = huygens_cost(pts, w, [0.5])
-    assert dec.cost == 0.041015625
-    assert dec.total_weight == 0.5
+    assert float(np.dot(w, sq_dists(pts, [[0.5]])[0])) == 0.041015625
+    assert sum(w) == 0.5
 
 
 def test_resolution_validation():
@@ -115,13 +107,11 @@ def test_resolution_validation():
 
 def test_index_validation():
     with pytest.raises(ValueError):
-        point_coords((2,), (0,))
+        merge_map((2,), (3,))  # tau exceeds rho
     with pytest.raises(ValueError):
-        point_coords((2,), (5,))
+        merge_map((2, 2), (1,))  # dimension mismatch
     with pytest.raises(ValueError):
-        merge_index((2,), (3,), (1,))  # tau exceeds rho
-    with pytest.raises(ValueError):
-        merge_index((2, 2), (1,), (1, 1))  # dimension mismatch
+        batch_error_exact((2,), (3,))
 
 
 def test_resolution_ordering_and_str():
@@ -136,13 +126,13 @@ def test_resolution_ordering_and_str():
 @settings(max_examples=50, deadline=None)
 def test_coords_match_exact_reference(rho):
     pts = coords_array(rho)
-    ref = exact_points(rho)
+    shape = as_resolution(rho).axis_points
     assert pts.shape == (as_resolution(rho).n, len(rho))
-    for flat, exact in enumerate(ref):
+    for flat, (j, exact) in enumerate(zip(exact_indices(rho), exact_points(rho))):
         assert tuple(pts[flat]) == tuple(float(x) for x in exact)
-        j = unflatten_index(rho, flat)
-        assert point_coords(rho, j) == tuple(float(x) for x in exact)
-        assert flatten_index(rho, j) == flat
+        # Flat order is numpy's row-major order of the 0-based multi-index.
+        assert tuple(int(v) + 1 for v in np.unravel_index(flat, shape)) == j
+        assert np.ravel_multi_index(tuple(jt - 1 for jt in j), shape) == flat
 
 
 @given(small_rho, st.data())
@@ -150,18 +140,12 @@ def test_coords_match_exact_reference(rho):
 def test_merge_map_matches_interval_containment(rho, data):
     tau = tuple(data.draw(st.integers(0, rt), label="tau") for rt in rho)
     mm = merge_map(rho, tau)
-    n_coarse = as_resolution(tau).n
     seen = np.zeros(as_resolution(rho).n, dtype=bool)
-    for q_flat in range(n_coarse):
-        q = unflatten_index(tau, q_flat)
+    for q_flat, q in enumerate(exact_indices(tau)):
         members = batch_members(rho, tau, q)
         assert members, "every coarse voxel contains fine points"
-        for flat in members:
-            assert mm[flat] == q_flat
-            assert merge_index(rho, tau, unflatten_index(rho, flat)) == q
-            seen[flat] = True
-        batch = batch_of(rho, tau, q)
-        assert sorted(flatten_index(rho, j) for j in batch.members) == members
+        assert np.flatnonzero(mm == q_flat).tolist() == members
+        seen[members] = True
     assert seen.all()
 
 
@@ -170,10 +154,8 @@ def test_merge_map_matches_interval_containment(rho, data):
 def test_merge_composition(rho, data):
     tau = tuple(data.draw(st.integers(0, rt), label="tau") for rt in rho)
     gamma = tuple(data.draw(st.integers(0, tt), label="gamma") for tt in tau)
-    for flat in range(as_resolution(rho).n):
-        j = unflatten_index(rho, flat)
-        via_tau = merge_index(tau, gamma, merge_index(rho, tau, j))
-        assert via_tau == merge_index(rho, gamma, j)
+    via_tau = merge_map(tau, gamma)[merge_map(rho, tau)]
+    assert via_tau.tolist() == merge_map(rho, gamma).tolist()
 
 
 @given(small_rho, st.data())
@@ -181,8 +163,11 @@ def test_merge_composition(rho, data):
 def test_batch_scatter_is_batch_error(rho, data):
     tau = tuple(data.draw(st.integers(0, rt), label="tau") for rt in rho)
     q = tuple(data.draw(st.integers(1, 2**tt), label="q") for tt in tau)
-    batch = batch_of(rho, tau, q)
-    pts = [exact_point(rho, j) for j in batch.members]
+    q_flat = np.ravel_multi_index(tuple(qt - 1 for qt in q), as_resolution(tau).axis_points)
+    members = batch_members(rho, tau, q)
+    assert np.flatnonzero(merge_map(rho, tau) == q_flat).tolist() == members
+    points = exact_points(rho)
+    pts = [points[m] for m in members]
     wts = [exact_volume(rho)] * len(pts)
     centroid, value = exact_scatter(pts, wts)
     assert centroid == exact_point(tau, q)
@@ -202,49 +187,21 @@ def test_batch_errors_sum_to_delta(rho, data):
 dyadic_weight = st.integers(1, 64).map(lambda u: u / 64)
 
 
-@given(
-    st.integers(1, 2),
-    st.data(),
-)
-@settings(max_examples=40, deadline=None)
-def test_scatter_matches_exact_reference(d, data):
-    m = data.draw(st.integers(1, 6), label="m")
-    pts = [
-        tuple(
-            data.draw(st.integers(0, 256), label="coord") / 256 for _ in range(d)
-        )
-        for _ in range(m)
-    ]
-    wts = [data.draw(dyadic_weight, label="w") for _ in range(m)]
-    centroid, value = scatter(np.array(pts), wts)
-    exact_c, exact_v = exact_scatter(
-        [tuple(Fraction(x) for x in p) for p in pts],
-        [Fraction(w) for w in wts],
-    )
-    assert np.allclose(centroid, [float(c) for c in exact_c], atol=1e-12)
-    assert abs(value - float(exact_v)) <= 1e-12 * (1 + abs(value))
-
-
 @given(st.integers(1, 2), st.data())
 @settings(max_examples=40, deadline=None)
 def test_huygens_matches_direct_sum(d, data):
+    # The kernel's weighted cost to s splits exactly into the scatter about
+    # the centroid plus total weight times ||centroid - s||^2.
     m = data.draw(st.integers(1, 6), label="m")
     pts = np.array(
         [[data.draw(st.integers(0, 256)) / 256 for _ in range(d)] for _ in range(m)]
     )
     wts = [data.draw(dyadic_weight, label="w") for _ in range(m)]
     s = [data.draw(st.integers(-256, 512)) / 256 for _ in range(d)]
-    dec = huygens_cost(pts, wts, s)
+    cost = float(np.dot(wts, sq_dists(pts, [s])[0]))
     direct = sum(w * float(np.sum((p - np.asarray(s)) ** 2)) for w, p in zip(wts, pts))
-    assert abs(dec.cost - direct) <= 1e-12 * (1 + abs(direct))
-    assert abs(dec.cost - (dec.scatter + dec.shift_term)) <= dec.residual + 1e-15
-    assert dec.scatter >= 0 and dec.shift_term >= 0
-
-
-def test_scatter_rejects_bad_input():
-    with pytest.raises(ValueError):
-        scatter(np.empty((0, 1)), [])
-    with pytest.raises(ValueError):
-        scatter(np.zeros((2, 1)), [1.0])
-    with pytest.raises(ValueError):
-        scatter(np.zeros((2, 1)), [0.0, 0.0])
+    assert abs(cost - direct) <= 1e-12 * (1 + abs(direct))
+    fracs = [Fraction(w) for w in wts]
+    centroid, scatter = exact_scatter([tuple(Fraction(x) for x in p) for p in pts], fracs)
+    shift = sum(fracs) * sum((c - Fraction(x)) ** 2 for c, x in zip(centroid, s))
+    assert abs(cost - float(scatter + shift)) <= 1e-12 * (1 + abs(cost))

@@ -17,10 +17,11 @@ from gridcoreset.model import (
     cluster_weights,
     cost_centroid,
     cost_sites,
-    eigen_bounds,
+    site_array,
+    sq_dists,
 )
 
-from exact_refs import clustering_entries, exact_cost, site_fractions
+from exact_refs import clustering_entries, exact_cost, exact_sq_norm, site_fractions
 
 
 def split_clustering():
@@ -76,12 +77,11 @@ def test_centroids_frozen():
 
 def test_eigen_bounds_frozen():
     ident = NormFamily(np.array([np.eye(2), np.eye(2)]))
-    assert eigen_bounds(ident) == (1.0, 1.0)
+    assert (ident.lambda_min, ident.lambda_max) == (1.0, 1.0)
     diags = NormFamily(np.array([np.diag([1.0, 4.0]), np.diag([2.0, 3.0])]))
-    lo, hi = eigen_bounds(diags)
-    assert (lo, hi) == (1.0, 4.0)
+    assert (diags.lambda_min, diags.lambda_max) == (1.0, 4.0)
     coupled = NormFamily(np.array([[[2.0, 1.0], [1.0, 2.0]]]))
-    lo, hi = eigen_bounds(coupled)
+    lo, hi = coupled.lambda_min, coupled.lambda_max
     assert abs(lo - 1.0) <= 1e-12 and abs(hi - 3.0) <= 1e-12
 
 
@@ -108,6 +108,26 @@ def test_instance_validation():
 def test_instance_rejects_non_finite_sites(bad):
     with pytest.raises(ValueError, match="finite"):
         Instance(k=2, rho=(4,), kappa=(0.5, 0.5), sites=[[bad], [0.5]])
+
+
+def test_site_array_checks():
+    with pytest.raises(ValueError, match="no sites"):
+        site_array(None, 2, 1)
+    with pytest.raises(ValueError, match="shape"):
+        site_array([[0.1, 0.2]], 2, 2)
+    with pytest.raises(ValueError, match="finite"):
+        site_array([[0.1, np.nan]], 1, 2)
+    C = Clustering.from_labels(1, [0, 0])
+    with pytest.raises(ValueError, match="finite"):
+        cost_sites(C, [[np.nan]], (1,))
+    # A 1-D vector is a column of k sites when d == 1, else one site.
+    assert site_array([0.25, 0.75], 2, 1).tolist() == [[0.25], [0.75]]
+    assert site_array([0.25, 0.75], 1, 2).tolist() == [[0.25, 0.75]]
+    assert Instance(k=1, rho=(1, 1), kappa=(1.0,), sites=[0.25, 0.75]).sites.shape == (1, 2)
+    # Instances keep a frozen copy; the caller's array stays writable.
+    given_sites = np.array([[0.25], [0.75]])
+    inst = Instance(k=2, rho=(1,), kappa=(0.5, 0.5), sites=given_sites)
+    assert given_sites.flags.writeable and not inst.sites.flags.writeable
 
 
 def test_kappa_on_grid_flag():
@@ -176,6 +196,45 @@ def test_cost_sites_matches_exact_reference(rho, k, data):
     assert abs(got - float(ref)) <= 1e-12 * (1 + abs(got))
 
 
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sq_dists_matches_exact_reference(d, k, m, data):
+    def dyadic(lo, hi, den):
+        return data.draw(st.integers(lo * den, hi * den)) / den
+
+    pts = np.array([[dyadic(0, 1, 64) for _ in range(d)] for _ in range(m)])
+    sites = np.array([[dyadic(-1, 2, 16) for _ in range(d)] for _ in range(k)])
+    exact_p = site_fractions(pts)
+    exact_s = site_fractions(sites)
+
+    def ref(i, j, norm=None):
+        return exact_sq_norm([a - b for a, b in zip(exact_p[j], exact_s[i])], norm)
+
+    got = sq_dists(pts, sites)
+    assert got.shape == (k, m) and got.dtype == np.float64
+    assert all(got[i, j] == ref(i, j) for i in range(k) for j in range(m))
+    # Integer inputs stay integer and exact.
+    got_int = sq_dists((pts * 64).astype(np.int64), (sites * 64).astype(np.int64))
+    assert got_int.dtype == np.int64
+    assert all(got_int[i, j] == 4096 * ref(i, j) for i in range(k) for j in range(m))
+    # Dyadic SPD matrices: diagonally dominant with entries in 1/4 units.
+    mats = []
+    for _ in range(k):
+        off = [[0.0] * d for _ in range(d)]
+        for a in range(d):
+            for b in range(a + 1, d):
+                off[a][b] = off[b][a] = dyadic(-1, 1, 4)
+        mats.append([[off[a][b] if a != b else 2.5 + dyadic(0, 2, 4) for b in range(d)]
+                     for a in range(d)])
+    mats = np.array(mats)
+    got = sq_dists(pts, sites, mats)
+    for i in range(k):
+        norm = [[Fraction(float(x)) for x in row] for row in mats[i]]
+        for j in range(m):
+            exact = float(ref(i, j, norm))
+            assert abs(got[i, j] - exact) <= 1e-12 * (1 + abs(exact))
+
+
 @given(small_rho2, st.integers(2, 3), st.data())
 @settings(max_examples=25, deadline=None)
 def test_axis_separability(rho, k, data):
@@ -215,7 +274,7 @@ def test_norm_sandwich(k, data):
         c = data.draw(st.integers(0, min(a, b) - 1), label="c")
         mats.append([[float(a), float(c)], [float(c), float(b)]])
     norms = NormFamily(np.array(mats))
-    lo, hi = eigen_bounds(norms)
+    lo, hi = norms.lambda_min, norms.lambda_max
     iso = cost_sites(C, sites, rho)
     aniso = cost_sites(C, sites, rho, norms)
     assert lo * iso - 1e-12 <= aniso <= hi * iso + 1e-12

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoreset.grid import coords_array, scatter, voxel_volume
 from gridcoreset.model import Instance, cost_centroid, Clustering
 from gridcoreset.oracle import (
     MAX_BRUTE_CLUSTERS,
@@ -19,6 +18,8 @@ from gridcoreset.oracle import (
     opt1d_dp,
 )
 from gridcoreset.solver import solve_assignment
+
+from exact_refs import exact_points, exact_scatter, exact_volume
 
 
 def test_opt1d_frozen():
@@ -44,10 +45,8 @@ def test_opt1d_extremes():
     # k=1 is the full grid scatter; k=n is zero with singleton intervals.
     for rho in range(0, 6):
         one = opt1d_dp(rho, 1)
-        pts = coords_array((rho,))
-        nu = float(voxel_volume((rho,)))
-        _, full = scatter(pts, [nu] * pts.shape[0])
-        assert abs(one.cost - full) <= 1e-15
+        _, full = exact_scatter(exact_points((rho,)), [exact_volume((rho,))] * 2**rho)
+        assert Fraction(one.cost) == full
         alln = opt1d_dp(rho, 2**rho)
         assert alln.cost == 0.0
         assert alln.sizes == (1,) * 2**rho
