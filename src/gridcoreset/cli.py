@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .coreset import (CoresetPlan, make_plan, extend, size_report, solve_coarse,
-                      transfer_bound, verify_property_a, verify_property_b)
+from .coreset import (PROPERTY_A_TOL, PROPERTY_B_TOL, CoresetPlan, make_plan,
+                      size_report, solve_coarse, transfer_bound, verify_property_a,
+                      verify_property_b)
 from .diagrams import check_compatibility, from_duals
 from .grid import Resolution, as_resolution, coords_array
-from .model import (Clustering, Instance, NormFamily, cluster_weights, cost_sites,
-                    sq_dists)
+from .model import Clustering, Instance, NormFamily, cluster_weights, sq_dists
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
 from .solver import solve_assignment
 
@@ -231,13 +231,22 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_coarsen(args) -> int:
+def _load_plan(args, transfer: bool = False) -> tuple[Instance, CoresetPlan]:
+    """The instance file and its plan from --epsilon (default: the instance's)
+    and --tau.  With transfer=True an anisotropic instance is planned at
+    epsilon/3, as its lift is certified through the eigenvalue transfer factor."""
     inst = load_instance(args.instance)
-    epsilon = args.epsilon if args.epsilon is not None else inst.epsilon
+    epsilon = Fraction(str(args.epsilon if args.epsilon is not None else inst.epsilon))
+    if transfer and inst.norms is not None:
+        epsilon /= 3
     tau = as_resolution(_parse_axes(args.tau)) if args.tau else None
-    plan = make_plan(inst.k, epsilon, inst.rho, tau=tau)
+    return inst, make_plan(inst.k, epsilon, inst.rho, tau=tau)
+
+
+def _cmd_coarsen(args) -> int:
+    inst, plan = _load_plan(args)
     coarse = Instance(k=inst.k, rho=plan.tau, kappa=inst.kappa, sites=inst.sites,
-                      norms=inst.norms, epsilon=epsilon)
+                      norms=inst.norms, epsilon=plan.epsilon)
     out = args.out or str(Path(args.instance).with_suffix(".coarse.json"))
     save_instance(coarse, out, plan=plan)
     print(f"tau {plan.tau} (tau_star {plan.tau_star}{', clamped' if plan.clamped else ''})")
@@ -260,21 +269,18 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
         rng = _trial_rng(seed, t)
         sites = rng.uniform(0.0, 1.0, size=(inst.k, inst.d))
         c_tilde = _random_stochastic(rng, inst.k, plan.tau.n)
-        lift = cost_sites(extend(c_tilde, plan), sites, plan.rho)
-        resid = verify_property_a(c_tilde, sites, inst, plan)
-        row = reporter.add(plan.tau, t, "property_a", margin=resid,
-                           bound=1e-10 * (1.0 + lift))
-        if resid > 1e-10 * (1.0 + lift):
+        resid, lifted = verify_property_a(c_tilde, sites, inst, plan)
+        bound = PROPERTY_A_TOL * (1.0 + lifted)
+        row = reporter.add(plan.tau, t, "property_a", margin=resid, bound=bound)
+        if resid > bound:
             return row
 
-        fine = solve_assignment(inst, sites=sites)
-        coarse = solve_assignment(inst, resolution=plan.tau, sites=sites)
-        margin = (1.0 + plan.epsilon) * fine.objective - (coarse.objective + plan.delta)
+        margin, fine, coarse = verify_property_b(sites, inst, plan)
         row = reporter.add(plan.tau, t, "property_b", objective=fine.objective,
                            delta=plan.delta, margin=margin,
                            bound=(1.0 + plan.epsilon) * fine.objective,
                            fractional_count=coarse.fractional_count)
-        if margin < -1e-9:
+        if margin < -PROPERTY_B_TOL:
             return row
 
         for res in (fine, coarse):
@@ -302,21 +308,13 @@ def _verify_anisotropic(inst, plan, reporter, trials, seed) -> dict | None:
                            delta=plan.delta, bound=bound, margin=margin,
                            quality_ratio=lifted.extended_cost / best.objective
                            if best.objective > 0 else None)
-        if margin < -1e-9:
+        if margin < -PROPERTY_B_TOL:
             return row
     return None
 
 
 def _cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
-    epsilon = args.epsilon if args.epsilon is not None else inst.epsilon
-    tau = as_resolution(_parse_axes(args.tau)) if args.tau else None
-    if inst.norms is not None:
-        # The coreset is planned at epsilon/3 and certified through the
-        # eigenvalue transfer factor.
-        plan = make_plan(inst.k, Fraction(str(epsilon)) / 3, inst.rho, tau=tau)
-    else:
-        plan = make_plan(inst.k, epsilon, inst.rho, tau=tau)
+    inst, plan = _load_plan(args, transfer=True)
     reporter = _Reporter(Path(args.instance).stem, args.seed)
     if inst.norms is None:
         bad = _verify_isotropic(inst, plan, reporter, args.trials, args.seed)
@@ -333,10 +331,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    inst = load_instance(args.instance)
-    epsilon = args.epsilon if args.epsilon is not None else inst.epsilon
-    tau = as_resolution(_parse_axes(args.tau)) if args.tau else None
-    plan = make_plan(inst.k, epsilon, inst.rho, tau=tau)
+    inst, plan = _load_plan(args)
     reporter = _Reporter(Path(args.instance).stem, args.seed)
     for t in range(args.trials):
         rng = _trial_rng(args.seed, t)
@@ -374,7 +369,19 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _trial_options(p: argparse.ArgumentParser, trials: int) -> None:
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write ReportRows as CSV")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # instance, --epsilon and --tau of the commands that plan a coreset.
+    planned = argparse.ArgumentParser(add_help=False)
+    planned.add_argument("instance")
+    planned.add_argument("--epsilon", type=float)
+    planned.add_argument("--tau", help="override the target resolution")
+
     parser = argparse.ArgumentParser(
         prog="gridcoreset",
         description="Weight-constrained clustering on dyadic grids with "
@@ -397,29 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the clustering as JSON")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("coarsen", help="plan a coreset and write the coarse instance")
-    p.add_argument("instance")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--tau", help="override the target resolution")
+    p = sub.add_parser("coarsen", parents=[planned],
+                       help="plan a coreset and write the coarse instance")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_coarsen)
 
-    p = sub.add_parser("verify", help="run the coreset property sweeps")
-    p.add_argument("instance")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--tau", help="override the target resolution")
-    p.add_argument("--out", help="write ReportRows as CSV")
+    p = sub.add_parser("verify", parents=[planned], help="run the coreset property sweeps")
+    _trial_options(p, trials=50)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="time full vs coarse solves")
-    p.add_argument("instance")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--tau", help="override the target resolution")
-    p.add_argument("--out", help="write ReportRows as CSV")
+    p = sub.add_parser("bench", parents=[planned], help="time full vs coarse solves")
+    _trial_options(p, trials=10)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("oracle", help="1D DP optimum, closed form, and lower bound")

@@ -36,8 +36,8 @@ def coarsening_exponent(k: int, epsilon) -> int:
     This is ceil(log2(2^(5/3) k / eps^(2/3))) computed in exact integer
     arithmetic, so power-of-two boundary cases round correctly.
     """
-    if k < 2:
-        raise ValueError(f"cluster count must be >= 2, got {k}")
+    if k < 1:
+        raise ValueError(f"cluster count must be >= 1, got {k}")
     eps = _exact_epsilon(epsilon)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
@@ -101,14 +101,7 @@ def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
     """
     rho = as_resolution(rho)
     tau_star = coarsening_exponent(k, epsilon)
-    if tau is None:
-        tau = target_resolution(k, epsilon, rho)
-    else:
-        tau = as_resolution(tau)
-        if tau.d != rho.d:
-            raise ValueError(f"tau has {tau.d} axes, rho has {rho.d}")
-        if not tau <= rho:
-            raise ValueError(f"tau={tau.exponents} not componentwise <= rho={rho.exponents}")
+    tau = target_resolution(k, epsilon, rho) if tau is None else as_resolution(tau)
     return CoresetPlan(
         rho=rho, tau=tau, k=int(k), epsilon=float(_exact_epsilon(epsilon)),
         tau_star=tau_star, delta=delta_offset(rho, tau),
@@ -152,8 +145,9 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
 
 
 def verify_property_a(C_tilde: Clustering, sites, instance: Instance,
-                      plan: CoresetPlan) -> float:
-    """Residual of the exact lift identity; zero in exact arithmetic.
+                      plan: CoresetPlan) -> tuple[float, float]:
+    """(residual, lifted cost) of the exact lift identity; property A holds
+    when the residual is at most PROPERTY_A_TOL * (1 + lifted cost).
 
     cost(X, extend(C), S) = cost(X(tau), C, S) + delta for every coarse
     clustering with unit column sums and every site family.  Isotropic only:
@@ -161,24 +155,25 @@ def verify_property_a(C_tilde: Clustering, sites, instance: Instance,
     """
     if instance.norms is not None:
         raise ValueError("the offset identity is isotropic only")
-    fine = extend(C_tilde, plan)
-    lhs = cost_sites(fine, sites, plan.rho)
+    lifted = cost_sites(extend(C_tilde, plan), sites, plan.rho)
     rhs = cost_sites(C_tilde, sites, plan.tau) + plan.delta
-    return abs(lhs - rhs)
+    return abs(lifted - rhs), lifted
 
 
-def verify_property_b(sites, instance: Instance, plan: CoresetPlan) -> float:
-    """Margin of the coreset cost inequality at the planned coarse resolution.
+def verify_property_b(sites, instance: Instance,
+                      plan: CoresetPlan) -> tuple[float, SolveResult, SolveResult]:
+    """(margin, fine, coarse) of the coreset cost inequality at plan.tau.
 
-    Solves the assignment LP at rho and at tau and returns
-    (1 + eps) * cost(X, S) - (cost(X(tau), S) + delta), which the coreset
-    guarantee makes nonnegative whenever tau came from target_resolution.
+    Solves the assignment LP at rho (fine) and at tau (coarse); the margin
+    (1 + eps) * cost(X, S) - (cost(X(tau), S) + delta) is nonnegative, up to
+    PROPERTY_B_TOL, whenever tau came from target_resolution.
     """
     if instance.norms is not None:
         raise ValueError("the coreset guarantee is isotropic only")
     fine = solve_assignment(instance, sites=sites)
     coarse = solve_assignment(instance, resolution=plan.tau, sites=sites)
-    return (1.0 + plan.epsilon) * fine.objective - (coarse.objective + plan.delta)
+    margin = (1.0 + plan.epsilon) * fine.objective - (coarse.objective + plan.delta)
+    return margin, fine, coarse
 
 
 @dataclass(frozen=True)
@@ -191,25 +186,22 @@ class CoarseSolve:
     extended_cost: float
 
 
-def solve_coarse(instance: Instance, sites=None, plan: CoresetPlan | None = None,
-                 norms: NormFamily | None = None) -> CoarseSolve:
+def solve_coarse(instance: Instance, sites=None, plan: CoresetPlan | None = None) -> CoarseSolve:
     """Solve at the coarse resolution (Euclidean costs) and lift the optimum.
 
     The lifted clustering is feasible for the fine problem; its cost is
-    evaluated under `norms` when given, which is how anisotropic instances
+    evaluated under the instance norms, which is how anisotropic instances
     reuse the Euclidean coreset machinery.
     """
     if plan is None:
         plan = make_plan(instance.k, instance.epsilon, instance.rho)
     sites = site_array(instance.sites if sites is None else sites, instance.k, instance.d)
-    if norms is None:
-        norms = instance.norms
     euclid = instance if instance.norms is None else Instance(
         k=instance.k, rho=instance.rho, kappa=instance.kappa, epsilon=instance.epsilon,
     )
     coarse = solve_assignment(euclid, resolution=plan.tau, sites=sites)
     extended = extend(coarse.clustering, plan)
-    cost = cost_sites(extended, sites, plan.rho, norms)
+    cost = cost_sites(extended, sites, plan.rho, instance.norms)
     return CoarseSolve(plan=plan, coarse=coarse, extended=extended, extended_cost=cost)
 
 

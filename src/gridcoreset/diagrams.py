@@ -90,7 +90,6 @@ def assign(diagram: PowerDiagram, points):
 class CompatibilityReport:
     compatible: bool
     worst_violation: float
-    boundary_points: int
     strong: bool
 
 
@@ -116,12 +115,11 @@ def check_compatibility(C: Clustering, diagram: PowerDiagram, rho,
     if C.rows.size:
         worst = float(np.max(pw[C.rows, C.cols] - mins[C.cols]))
     ok = worst <= BOUNDARY_TOL
-    on_boundary = np.count_nonzero(pw <= mins + BOUNDARY_TOL, axis=0) >= 2
-    boundary_points = int(np.count_nonzero(on_boundary))
 
     strong_ok = ok
     if strong and ok:
         # Interior points must be integrally assigned to their unique cell.
+        on_boundary = np.count_nonzero(pw <= mins + BOUNDARY_TOL, axis=0) >= 2
         winners = np.argmin(pw, axis=0)
         entry_count = np.bincount(C.cols, minlength=C.n)
         single = entry_count == 1
@@ -142,6 +140,5 @@ def check_compatibility(C: Clustering, diagram: PowerDiagram, rho,
     return CompatibilityReport(
         compatible=bool(ok if not strong else (ok and strong_ok)),
         worst_violation=worst,
-        boundary_points=boundary_points,
         strong=bool(strong),
     )

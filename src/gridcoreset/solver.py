@@ -35,8 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import Resolution, as_resolution, coords_array
-from .model import (Clustering, Instance, centroids, cluster_weights, site_array,
-                    sq_dists)
+from .model import Clustering, Instance, centroids, site_array, sq_dists
 
 # Dense arc cap: beyond this, refuse and point the caller at coarsening.
 MAX_ARCS = 50_000_000
@@ -57,12 +56,11 @@ class TransportProblem:
 
     resolution: Resolution
     sites: np.ndarray
-    costs: np.ndarray           # (k, n) float64
+    costs: np.ndarray           # (k, n): int64 in units of 4^-cost_bits if exact, else float64
     supply: int                 # per-point supply, units of 2^-unit_bits
     demands: tuple[int, ...]    # per-cluster demand, same units
     unit_bits: int              # the common scale: 1 unit = 2^-unit_bits mass
-    int_costs: np.ndarray | None = None   # (k, n) int64, units of 4^-cost_bits
-    cost_bits: int = 0
+    cost_bits: int
 
     @property
     def k(self) -> int:
@@ -71,6 +69,10 @@ class TransportProblem:
     @property
     def n(self) -> int:
         return self.costs.shape[1]
+
+    @property
+    def exact(self) -> bool:
+        return self.costs.dtype == np.int64
 
 
 @dataclass(frozen=True)
@@ -90,23 +92,6 @@ class SolveResult:
     dual_objective: float
     pivots: int
     exact: bool
-
-
-def _dyadic_int_grid(values: np.ndarray, bits: int) -> np.ndarray | None:
-    """values * 2^bits as int64 if that is exact and small, else None.
-
-    The magnitude cap (coordinates within [-4, 4]) keeps squared differences
-    against in-cube grid points far from int64 overflow.
-    """
-    scaled = values * float(1 << bits)
-    if not np.all(np.isfinite(scaled)):
-        return None
-    if np.any(np.abs(scaled) > (1 << (bits + 2))):
-        return None
-    rounded = np.rint(scaled)
-    if np.any(scaled != rounded):
-        return None
-    return rounded.astype(np.int64)
 
 
 def build_transport(instance: Instance, resolution=None, sites=None) -> TransportProblem:
@@ -135,32 +120,25 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
     demands = tuple(u << (L - instance.kappa_bits) for u in instance.kappa_units)
 
     pts = coords_array(r)
-    costs = sq_dists(pts, s, None if instance.norms is None else instance.norms.matrices)
-
-    # Exact integer costs when isotropic and all coordinates share a small
-    # power-of-two denominator.  Point coordinates live over 2^(r_t+1); the
-    # sites must too, up to MAX_COST_BITS.
-    int_costs = None
-    cost_bits = 0
-    if instance.norms is None:
-        bits = max(e + 1 for e in r.exponents)
-        site_ints = None
-        for b in range(bits, MAX_COST_BITS + 1):
-            site_ints = _dyadic_int_grid(s, b)
-            if site_ints is not None:
-                bits = b
-                break
-        if site_ints is not None:
-            # Reduced costs stay within int64: potentials are alternating
-            # cost sums along tree paths, at most 2k+4 terms, each at most
-            # 25 * d * 4^bits (coordinates differ by at most 5 * 2^bits).
-            if (2 * k + 4) * 25 * rho.d * (4 ** bits) < 2 ** 62:
-                int_costs = sq_dists(_dyadic_int_grid(pts, bits), site_ints)
-                cost_bits = bits
+    # Exact integer costs when isotropic and every coordinate lies over
+    # 2^bits: points over 2^(r_t+1), sites over their own (power-of-two)
+    # denominators.  Sites within [-4, 4] keep coordinate differences below
+    # 5 * 2^bits, and the reduced costs then stay within int64: potentials
+    # are alternating cost sums along tree paths, at most 2k+4 terms, each
+    # at most 25 * d * 4^bits.
+    bits = max([e + 1 for e in r.exponents]
+               + [Fraction(v).denominator.bit_length() - 1 for v in s.flat])
+    if (instance.norms is None and bits <= MAX_COST_BITS and np.all(np.abs(s) <= 4)
+            and (2 * k + 4) * 25 * rho.d * 4**bits < 2**62):
+        scale = float(1 << bits)
+        costs = sq_dists((pts * scale).astype(np.int64), (s * scale).astype(np.int64))
+    else:
+        bits = 0
+        costs = sq_dists(pts, s, None if instance.norms is None else instance.norms.matrices)
 
     return TransportProblem(
         resolution=r, sites=s, costs=costs, supply=supply, demands=demands,
-        unit_bits=L, int_costs=int_costs, cost_bits=cost_bits,
+        unit_bits=L, cost_bits=bits,
     )
 
 
@@ -237,8 +215,7 @@ def _network_simplex(problem: TransportProblem):
 
     Returns (flows over real arcs as (k*n,) int64, potentials, pivots).
     """
-    exact = problem.int_costs is not None
-    C2 = problem.int_costs if exact else problem.costs
+    C2 = problem.costs
     cost = C2.ravel().tolist()
     k, n = problem.k, problem.n
     e = k * n
@@ -293,7 +270,7 @@ def _network_simplex(problem: TransportProblem):
         return arc % n if arc < e else n + arc - e
 
     up = walk()
-    tol = 0 if exact else ENTER_TOL * max(1.0, float(problem.costs.max(initial=0.0)))
+    tol = 0 if problem.exact else ENTER_TOL * max(1.0, float(problem.costs.max(initial=0.0)))
     rc = np.empty((k, n), dtype=C2.dtype)
     pivots = 0
     degenerate_streak = 0
@@ -364,7 +341,6 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
     problem = build_transport(instance, resolution=resolution, sites=sites)
     flows, pi, pivots = _network_simplex(problem)
     k, n = problem.k, problem.n
-    exact = problem.int_costs is not None
 
     support = np.nonzero(flows > 0)[0]
     rows = support // n
@@ -374,9 +350,9 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
     fractional = int(np.count_nonzero(flows[support] < problem.supply))
 
     unit = Fraction(1, 1 << problem.unit_bits)
-    if exact:
+    cflat = problem.costs.ravel()
+    if problem.exact:
         cost_unit = Fraction(1, 1 << (2 * problem.cost_bits))
-        cflat = problem.int_costs.ravel()
         primal_units = sum(int(flows[a]) * int(cflat[a]) for a in support)
         objective = float(primal_units * unit * cost_unit)
         pi_exact = [int(v) for v in pi]
@@ -387,7 +363,6 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
         dual_objective = float(dual_units * unit * cost_unit)
         duals = tuple(float((pi_exact[n] - pi_exact[n + i]) * cost_unit) for i in range(k))
     else:
-        cflat = problem.costs.ravel()
         objective = float(unit) * float(
             np.dot(flows[support].astype(np.float64), cflat[support])
         )
@@ -407,7 +382,7 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
         resolution=problem.resolution,
         dual_objective=dual_objective,
         pivots=pivots,
-        exact=exact,
+        exact=problem.exact,
     )
 
 
@@ -455,8 +430,5 @@ def alternate_minimize(
                 break
         if round_index == max_rounds - 1:
             break  # keep sites consistent with the final solve
-        w = cluster_weights(result.clustering, instance.rho)
-        if np.any(w <= 0.0):
-            raise AssertionError("cluster lost all weight despite kappa > 0")
         sites = centroids(result.clustering, instance.rho)
     return AlternateOutcome(sites=sites, result=result, objectives=tuple(history))

@@ -8,6 +8,7 @@ forms and vectorized identities.  Slow but exact; keep inputs small.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -45,6 +46,22 @@ def batch_members(rho, tau, q):
         if inside:
             members.append(flat)
     return members
+
+
+def batch_partition(rho, tau):
+    """Flat fine indices of every coarse voxel, listed in flat coarse order.
+
+    One pass over the fine points: coordinate x_t goes to the coarse interval
+    q_t = floor(x_t 2^tau_t) + 1, and (q_t - 1) / 2^tau_t < x_t < q_t / 2^tau_t
+    is asserted in Fractions, so membership never rests on index arithmetic.
+    """
+    batches = {q: [] for q in exact_indices(tau)}
+    for flat, point in enumerate(exact_points(rho)):
+        q = tuple(math.floor(xt * 2**tt) + 1 for xt, tt in zip(point, tau))
+        assert all(Fraction(qt - 1, 2**tt) < xt < Fraction(qt, 2**tt)
+                   for qt, tt, xt in zip(q, tau, point))
+        batches[q].append(flat)
+    return list(batches.values())
 
 
 def exact_scatter(points, weights):
@@ -97,8 +114,7 @@ def exact_delta(rho, tau) -> Fraction:
     points = exact_points(rho)
     nu = exact_volume(rho)
     total = Fraction(0)
-    for q in itertools.product(*(range(1, 2**tt + 1) for tt in tau)):
-        members = batch_members(rho, tau, q)
+    for members in batch_partition(rho, tau):
         pts = [points[m] for m in members]
         wts = [nu] * len(pts)
         _, scatter = exact_scatter(pts, wts)

@@ -167,6 +167,15 @@ def test_verify_anisotropic_transfer(tmp_path):
     assert all(float(r["margin"]) >= -1e-9 for r in rows)
 
 
+def test_single_cluster_verify_passes(tmp_path):
+    # With k=1 every coarse resolution is an exact coreset.
+    for aniso in ([], ["--anisotropy", "1,3"]):
+        inst_path = tmp_path / "k1.json"
+        assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "1", "--seed", "4",
+                     "--out", str(inst_path), *aniso]) == 0
+        assert main(["verify", str(inst_path), "--trials", "3"]) == 0
+
+
 def test_bench_schema(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", str(GOLDEN), "--trials", "2", "--seed", "1",

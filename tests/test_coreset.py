@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcoreset.coreset import (
+    PROPERTY_A_TOL,
+    PROPERTY_B_TOL,
     CoresetPlan,
     coarsening_exponent,
     delta_offset,
@@ -53,7 +55,7 @@ def test_coarsening_exponent_exact_boundary():
 
 def test_coarsening_exponent_validation():
     with pytest.raises(ValueError):
-        coarsening_exponent(1, 0.5)
+        coarsening_exponent(0, 0.5)
     with pytest.raises(ValueError):
         coarsening_exponent(2, 0.6)
     with pytest.raises(ValueError):
@@ -184,9 +186,10 @@ def test_property_a_exact_for_any_clustering(data):
     inst = Instance(k=k, rho=rho, kappa=(Fraction(1, k),) * k, sites=sites) \
         if k in (1, 2, 4) else \
         Instance(k=k, rho=rho, kappa=(0.25, 0.25, 0.5), sites=sites)
-    residual = verify_property_a(C_tilde, sites, inst, plan)
+    residual, lifted = verify_property_a(C_tilde, sites, inst, plan)
     lhs = cost_sites(extend(C_tilde, plan), sites, rho)
-    assert residual <= 1e-10 * (1 + lhs)
+    assert lifted == lhs
+    assert residual <= PROPERTY_A_TOL * (1 + lhs)
 
 
 def test_property_a_rejects_anisotropic():
@@ -204,8 +207,8 @@ def test_property_a_rejects_anisotropic():
 def test_property_b_margin_when_tau_is_rho():
     inst = Instance(k=2, rho=(4,), kappa=(0.5, 0.5), sites=[[0.3], [0.8]])
     plan = plan_for((4,), (4,))
-    margin = verify_property_b(inst.sites, inst, plan)
-    fine = solve_assignment(inst)
+    margin, fine, coarse = verify_property_b(inst.sites, inst, plan)
+    assert fine.objective == coarse.objective == solve_assignment(inst).objective
     assert abs(margin - 0.5 * fine.objective) <= 1e-15
 
 
@@ -215,7 +218,7 @@ def test_property_b_margin_at_target():
     plan = make_plan(2, 0.5, (6,))
     for _ in range(5):
         sites = rng.uniform(0.0, 1.0, size=(2, 1))
-        assert verify_property_b(sites, inst, plan) >= -1e-9
+        assert verify_property_b(sites, inst, plan)[0] >= -PROPERTY_B_TOL
 
 
 def test_solve_coarse_identity_at_full_resolution():

@@ -21,6 +21,7 @@ from gridcoreset.model import sq_dists
 
 from exact_refs import (
     batch_members,
+    batch_partition,
     exact_delta,
     exact_indices,
     exact_point,
@@ -141,8 +142,7 @@ def test_merge_map_matches_interval_containment(rho, data):
     tau = tuple(data.draw(st.integers(0, rt), label="tau") for rt in rho)
     mm = merge_map(rho, tau)
     seen = np.zeros(as_resolution(rho).n, dtype=bool)
-    for q_flat, q in enumerate(exact_indices(tau)):
-        members = batch_members(rho, tau, q)
+    for q_flat, members in enumerate(batch_partition(rho, tau)):
         assert members, "every coarse voxel contains fine points"
         assert np.flatnonzero(mm == q_flat).tolist() == members
         seen[members] = True

@@ -1,5 +1,7 @@
 """Exact transportation solves: optima, duals, integrality, degeneracy."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,35 @@ def test_sites_override():
     assert res.objective == 0.015625  # centroid-optimal balanced split
     with pytest.raises(ValueError):
         solve_assignment(Instance(k=2, rho=(2,), kappa=(0.5, 0.5)))
+
+
+def _boundary_instance(k, site, norms=False):
+    kappa = [Fraction(1, 32)] * (k - 1) + [Fraction(33 - k, 32)]
+    sites = [[site]] + [[(i + 1) / 32] for i in range(k - 1)]
+    return Instance(k=k, rho=(5,), kappa=kappa, sites=sites,
+                    norms=NormFamily(np.ones((k, 1, 1))) if norms else None)
+
+
+@pytest.mark.parametrize("k, site, norms, exact", [
+    (2, 2.0**-26, False, True),          # MAX_COST_BITS
+    (2, 4.0, False, True),               # |s| <= 4
+    (2, -4.0, False, True),
+    (18, 2.0**-26, False, True),         # (2k+4) 25 d 4^26 < 2^62
+    (2, 2.0**-27, False, False),
+    (2, 4.0 + 2.0**-20, False, False),
+    (2, 0.5, True, False),               # any norm family, even the identity
+    (19, 2.0**-26, False, False),        # int64 bound fails
+    (19, 2.0**-20, False, True),
+])
+def test_exact_mode_boundary(k, site, norms, exact):
+    inst = _boundary_instance(k, site, norms)
+    problem = build_transport(inst)
+    assert problem.exact is exact
+    assert problem.costs.dtype == (np.int64 if exact else np.float64)
+    res = solve_assignment(inst)
+    assert res.exact is exact
+    if exact:
+        assert res.objective == res.dual_objective
 
 
 def test_arc_cap_refusal():
