@@ -90,19 +90,15 @@ def assign(diagram: PowerDiagram, points):
 class CompatibilityReport:
     compatible: bool
     worst_violation: float
-    strong: bool
 
 
-def check_compatibility(C: Clustering, diagram: PowerDiagram, rho,
-                        strong: bool = False) -> CompatibilityReport:
+def check_compatibility(C: Clustering, diagram: PowerDiagram, rho) -> CompatibilityReport:
     """Whether every support point of every cluster lies in that cluster's cell.
 
     The violation at a support point is its power distance to its own site
     minus the minimum over all sites; compatible means the worst violation
-    is at most BOUNDARY_TOL.  With strong=True, additionally every grid
-    point with a unique nearest cell must be fully assigned to that cell;
-    points within tolerance of two or more cells are boundary points and
-    are exempt.
+    is at most BOUNDARY_TOL, so a point whose nearest cell beats every
+    other by more than that lies wholly in that cell.
     """
     rho = as_resolution(rho)
     if C.n != rho.n:
@@ -110,35 +106,5 @@ def check_compatibility(C: Clustering, diagram: PowerDiagram, rho,
     if diagram.k != C.k:
         raise ValueError(f"diagram has {diagram.k} cells, clustering has {C.k} clusters")
     pw = diagram.powers(coords_array(rho))
-    mins = pw.min(axis=0)
-    worst = 0.0
-    if C.rows.size:
-        worst = float(np.max(pw[C.rows, C.cols] - mins[C.cols]))
-    ok = worst <= BOUNDARY_TOL
-
-    strong_ok = ok
-    if strong and ok:
-        # Interior points must be integrally assigned to their unique cell.
-        on_boundary = np.count_nonzero(pw <= mins + BOUNDARY_TOL, axis=0) >= 2
-        winners = np.argmin(pw, axis=0)
-        entry_count = np.bincount(C.cols, minlength=C.n)
-        single = entry_count == 1
-        interior = ~on_boundary
-        if np.any(interior & ~single):
-            strong_ok = False
-        else:
-            by_col = np.argsort(C.cols, kind="stable")
-            col_sorted = C.cols[by_col]
-            row_sorted = C.rows[by_col]
-            val_sorted = C.vals[by_col]
-            first = np.searchsorted(col_sorted, np.nonzero(interior)[0])
-            if np.any(row_sorted[first] != winners[interior]):
-                strong_ok = False
-            elif np.any(val_sorted[first] != 1.0):
-                strong_ok = False
-
-    return CompatibilityReport(
-        compatible=bool(ok if not strong else (ok and strong_ok)),
-        worst_violation=worst,
-        strong=bool(strong),
-    )
+    worst = float(np.max(pw[C.rows, C.cols] - pw.min(axis=0)[C.cols], initial=0.0))
+    return CompatibilityReport(compatible=worst <= BOUNDARY_TOL, worst_violation=worst)

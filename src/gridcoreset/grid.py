@@ -102,14 +102,10 @@ def merge_map(rho, tau) -> np.ndarray:
     rho = as_resolution(rho)
     tau = as_resolution(tau)
     _check_tau(rho, tau)
-    fine_shape = rho.axis_points
-    coarse_shape = tau.axis_points
-    multi = np.unravel_index(np.arange(rho.n), fine_shape)
-    coarse_multi = tuple(
-        axis >> (re - te)
-        for axis, re, te in zip(multi, rho.exponents, tau.exponents)
-    )
-    return np.ravel_multi_index(coarse_multi, coarse_shape).astype(np.int64)
+    coarse = np.arange(tau.n, dtype=np.int64).reshape(tau.axis_points)
+    for t, (re, te) in enumerate(zip(rho.exponents, tau.exponents)):
+        coarse = np.repeat(coarse, 1 << (re - te), axis=t)
+    return coarse.ravel()
 
 
 def batch_error_exact(rho, tau) -> Fraction:

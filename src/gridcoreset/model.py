@@ -207,9 +207,9 @@ class Clustering:
             raise ValueError("point index out of range")
         if np.any(vals <= 0.0) or np.any(vals > 1.0):
             raise ValueError("assignment fractions must lie in (0, 1]")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
         keys = rows * self.n + cols
+        order = np.argsort(keys)
+        rows, cols, vals, keys = rows[order], cols[order], vals[order], keys[order]
         if keys.size and np.any(np.diff(keys) == 0):
             raise ValueError("duplicate (cluster, point) entries")
         sums = np.bincount(cols, weights=vals, minlength=self.n)

@@ -55,7 +55,6 @@ class TransportProblem:
     """Integer-scaled transportation formulation of one assignment solve."""
 
     resolution: Resolution
-    sites: np.ndarray
     costs: np.ndarray           # (k, n): int64 in units of 4^-cost_bits if exact, else float64
     supply: int                 # per-point supply, units of 2^-unit_bits
     demands: tuple[int, ...]    # per-cluster demand, same units
@@ -137,7 +136,7 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
         costs = sq_dists(pts, s, None if instance.norms is None else instance.norms.matrices)
 
     return TransportProblem(
-        resolution=r, sites=s, costs=costs, supply=supply, demands=demands,
+        resolution=r, costs=costs, supply=supply, demands=demands,
         unit_bits=L, cost_bits=bits,
     )
 
@@ -165,8 +164,7 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
             i = comp[i]
         return i
 
-    for j in range(n):
-        i = int(owner[j])
+    for j, i in enumerate(owner.tolist()):
         if cap[i] >= supply:
             cap[i] -= supply
             continue
@@ -213,7 +211,8 @@ def _network_simplex(problem: TransportProblem):
     point is its core parent, so every point potential is
     pi_cl[owner[j]] + C[owner[j], j], one vector op ahead of pricing.
 
-    Returns (flows over real arcs as (k*n,) int64, potentials, pivots).
+    Returns (owner, split, pi_cl, pivots), where split maps every real core
+    arc i*n + j with positive flow to that flow.
     """
     C2 = problem.costs
     cost = C2.ravel().tolist()
@@ -318,17 +317,8 @@ def _network_simplex(problem: TransportProblem):
                 del core[rest[0]]
         up = walk()
 
-    flows = np.zeros(e, dtype=np.int64)
-    is_leaf = np.ones(n, dtype=bool)
-    is_leaf[[v for v in up if v < n]] = False
-    flows[(owner * n + cols)[is_leaf]] = supply
-    for arc, f in core.items():
-        if arc < e:
-            flows[arc] = f
-    pi = np.zeros(root + 1, dtype=C2.dtype)
-    pi[:n] = pi_cl[owner] + C2[owner, cols]
-    pi[n:root] = pi_cl
-    return flows, pi, pivots
+    split = {arc: f for arc, f in core.items() if arc < e and f > 0}
+    return owner, split, pi_cl, pivots
 
 
 def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
@@ -339,45 +329,41 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
     integer; in general at most 2(k-1) assignment fractions are fractional.
     """
     problem = build_transport(instance, resolution=resolution, sites=sites)
-    flows, pi, pivots = _network_simplex(problem)
+    owner, split, pi_cl, pivots = _network_simplex(problem)
     k, n = problem.k, problem.n
+    cols = np.arange(n)
 
-    support = np.nonzero(flows > 0)[0]
-    rows = support // n
-    cols = support % n
-    vals = flows[support].astype(np.float64) / float(problem.supply)
-    clustering = Clustering(k=k, n=n, rows=rows, cols=cols, vals=vals)
-    fractional = int(np.count_nonzero(flows[support] < problem.supply))
+    # Support: every leaf at full supply plus the split arcs, in arc order.
+    split_arcs, split_flows = np.array(list(split.items()), dtype=np.int64).reshape(-1, 2).T
+    leaf = np.isin(cols, split_arcs % n, invert=True)
+    arcs = np.append(owner[leaf] * n + cols[leaf], split_arcs)
+    flows = np.append(np.full(np.count_nonzero(leaf), problem.supply, dtype=np.int64), split_flows)
+    order = np.argsort(arcs)
+    arcs, flows = arcs[order], flows[order]
+    clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
+                            vals=flows / float(problem.supply))
+    fractional = int(np.count_nonzero(flows < problem.supply))
 
+    # Objective, dual objective and duals mu_i = pi_1 - pi_i: in integers
+    # scaled by 4^-cost_bits on the exact path, in float64 otherwise.
     unit = Fraction(1, 1 << problem.unit_bits)
-    cflat = problem.costs.ravel()
+    pi_pts = pi_cl[owner] + problem.costs[owner, cols]
     if problem.exact:
-        cost_unit = Fraction(1, 1 << (2 * problem.cost_bits))
-        primal_units = sum(int(flows[a]) * int(cflat[a]) for a in support)
-        objective = float(primal_units * unit * cost_unit)
-        pi_exact = [int(v) for v in pi]
-        dual_units = (
-            problem.supply * sum(pi_exact[j] - pi_exact[n] for j in range(n))
-            + sum(problem.demands[i] * (pi_exact[n] - pi_exact[n + i]) for i in range(k))
-        )
-        dual_objective = float(dual_units * unit * cost_unit)
-        duals = tuple(float((pi_exact[n] - pi_exact[n + i]) * cost_unit) for i in range(k))
+        scale, dtype = Fraction(1, 1 << (2 * problem.cost_bits)), object
     else:
-        objective = float(unit) * float(
-            np.dot(flows[support].astype(np.float64), cflat[support])
-        )
-        u_pts = pi[:n] - pi[n]
-        mu = pi[n] - pi[n:n + k]
-        dual_objective = float(unit) * (
-            problem.supply * float(np.sum(u_pts))
-            + float(np.dot(np.asarray(problem.demands, dtype=np.float64), mu))
-        )
-        duals = tuple(float(v) for v in mu)
+        scale, unit, dtype = 1.0, float(unit), np.float64
+    flows, costs, pi_pts, pi_cl = (v.astype(dtype) for v in (
+        flows, problem.costs.ravel()[arcs], pi_pts, pi_cl))
+    demands = np.array(problem.demands, dtype=dtype)
+    mu = pi_cl[0] - pi_cl
+    objective = float(unit * (np.dot(flows, costs) * scale))
+    dual = problem.supply * np.sum(pi_pts - pi_cl[0]) + np.dot(demands, mu)
+    dual_objective = float(unit * (dual * scale))
 
     return SolveResult(
         clustering=clustering,
         objective=objective,
-        duals=duals,
+        duals=tuple(float(v * scale) for v in mu),
         fractional_count=fractional,
         resolution=problem.resolution,
         dual_objective=dual_objective,

@@ -83,8 +83,8 @@ def test_gauge_invariance(data):
 def test_single_cluster_strongly_compatible():
     C = Clustering.from_labels(1, [0, 0, 0, 0])
     diag = PowerDiagram(sites=[[0.3]], gamma=[5.0])
-    rep = check_compatibility(C, diag, (2,), strong=True)
-    assert rep.compatible and rep.strong
+    rep = check_compatibility(C, diag, (2,))
+    assert rep.compatible
     assert rep.worst_violation == 0.0
 
 
@@ -115,7 +115,7 @@ def test_integer_optimum_is_strongly_compatible():
         res = solve_assignment(inst)
         assert res.clustering.is_integer()
         diag = from_duals(inst.sites, res.duals)
-        rep = check_compatibility(res.clustering, diag, (4,), strong=True)
+        rep = check_compatibility(res.clustering, diag, (4,))
         assert rep.compatible
 
 

@@ -1,12 +1,16 @@
 """Exact transportation solves: optima, duals, integrality, degeneracy."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcoreset import solver
+from gridcoreset.cli import instance_from_dict
 from gridcoreset.diagrams import check_compatibility, from_duals
 from gridcoreset.grid import as_resolution, coords_array, voxel_volume
 from gridcoreset.model import (
@@ -23,6 +27,8 @@ from gridcoreset.solver import (
     build_transport,
     solve_assignment,
 )
+
+from exact_refs import clustering_entries, exact_cost, site_fractions
 
 
 def pair_instance(kappa):
@@ -273,6 +279,35 @@ def test_exact_mode_boundary(k, site, norms, exact):
     assert res.exact is exact
     if exact:
         assert res.objective == res.dual_objective
+
+
+def test_exact_objective_without_split_arcs():
+    # One cluster: every point is a leaf, so the objective is a sum of int64
+    # flows times costs near 2^52 units that float64 would round.
+    rng = np.random.default_rng(31)
+    for m in rng.integers(0, 1 << 25, size=6):
+        site = (2 * int(m) + 1) / 2**26
+        inst = Instance(k=1, rho=(10,), kappa=(1.0,), sites=[[site]])
+        res = solve_assignment(inst)
+        assert res.exact and res.fractional_count == 0
+        ref = exact_cost(clustering_entries(res.clustering), site_fractions(inst.sites), (10,))
+        assert res.objective == res.dual_objective == float(ref)
+
+
+def test_bland_pricing_matches_dantzig(monkeypatch):
+    cases = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "solver"
+                        / "cases.json").read_text())
+    instances = [instance_from_dict(doc) for doc in cases]
+    dantzig = [solve_assignment(inst) for inst in instances]
+    monkeypatch.setattr(solver, "_BLAND_AFTER", 0)
+    for inst, ref in zip(instances, dantzig):
+        res = solve_assignment(inst)
+        assert res.objective == ref.objective
+        assert res.fractional_count <= 2 * (inst.k - 1)
+        report = check_compatibility(res.clustering, from_duals(inst.sites, res.duals), inst.rho)
+        assert report.compatible, report.worst_violation
+        if res.exact:
+            assert res.objective == res.dual_objective
 
 
 def test_arc_cap_refusal():
