@@ -4,7 +4,7 @@ Instance files are JSON; reports are CSV with a fixed header.  All
 randomness flows from one 64-bit seed through named substreams (instance
 generation, per-trial draws), so adding trials never changes earlier rows.
 Exit codes: 0 success, 2 validation failure, 3 property violation (the
-offending row goes to standard error).
+offending row goes to standard error) or a solve past the simplex pivot cap.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .diagrams import check_compatibility, from_duals
 from .grid import Resolution, as_resolution, coords_array
 from .model import Clustering, Instance, NormFamily, cluster_weights, sq_dists
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
-from .solver import solve_assignment
+from .solver import PivotLimitError, solve_assignment
 
 # Named RNG streams (SeedSequence spawn keys).
 STREAM_GEN = 0
@@ -433,6 +433,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PivotLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,6 +24,15 @@ until progress resumes.  Leaving arcs are chosen to keep the spanning tree
 strongly feasible, which rules out cycling.  When every cost is exactly
 representable over a small power-of-four denominator (dyadic sites,
 Euclidean norm), pricing runs in 64-bit integers and the optimum is exact.
+
+Every solve climbs a coarse-to-fine resolution ladder, as in Merigot, "A
+multiscale approach to optimal transport" (2011), and Schmitzer, "A sparse
+multiscale algorithm for dense optimal transport" (2016): the same instance
+is solved one dyadic level coarser first, and the greedy start of the finer
+level runs on its costs shifted by the coarser level's cluster potentials.
+Those nearly fix the fine power diagram, so few pivots remain.  Any shift
+gives a feasible start, so the ladder changes the pivot path, never the
+optimum.
 """
 
 from __future__ import annotations
@@ -48,6 +57,14 @@ ENTER_TOL = 1e-11
 
 # Degenerate-pivot streak after which entering switches to Bland's rule.
 _BLAND_AFTER = 1000
+
+# Ladder floor: the coarser level of a solve lowers every axis exponent
+# above this by one.
+_LADDER_BASE = 3
+
+
+class PivotLimitError(RuntimeError):
+    """The simplex ran past its pivot cap, which only a solver bug can cause."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +97,8 @@ class SolveResult:
 
     duals are the cluster potentials mu_i, normalized so mu_1 = 0; support
     arcs attain min_i (c_ij - mu_i).  dual_objective uses the matching point
-    potentials, so objective - dual_objective is the duality gap.
+    potentials, so objective - dual_objective is the duality gap.  pivots
+    is the total over every level of the resolution ladder.
     """
 
     clustering: Clustering
@@ -144,7 +162,9 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
 def _greedy_start(cost2d: np.ndarray, supply: int, demands):
     """Cheapest-available greedy start basis as (owner, core).
 
-    Points are processed in flat order.  A point goes whole to its cheapest
+    cost2d may be any (k, n) array, in practice the costs shifted by start
+    potentials: the basis is feasible whatever it holds.  Points are
+    processed in flat order.  A point goes whole to its cheapest
     cluster if that one has room (ties to the lowest index), and is split
     over clusters in cost order otherwise.  owner[j] is the cluster of a
     point assigned whole; core maps every split arc i*n + j to its amount.
@@ -190,8 +210,13 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
     return owner, core
 
 
-def _network_simplex(problem: TransportProblem):
+def _network_simplex(problem: TransportProblem, mu=0):
     """Primal network simplex on the leaf/core basis of the transportation graph.
+
+    The start basis is the greedy one on the shifted costs C - mu[:, None]:
+    mu = 0 is a cold start, and cluster potentials that nearly price the
+    optimum (from a coarser level) give a start close to it.  Pricing, the
+    leaving rule and optimality only ever see the true costs.
 
     Node layout: points 0..n-1, clusters n..n+k-1, artificial root n+k.
     Real arc a = i*n + j runs point j -> cluster i with cost C[i, j];
@@ -215,7 +240,7 @@ def _network_simplex(problem: TransportProblem):
     arc i*n + j with positive flow to that flow.
     """
     C2 = problem.costs
-    cost = C2.ravel().tolist()
+    cost = C2.item                                 # Python scalar of a flat arc index
     k, n = problem.k, problem.n
     e = k * n
     root = n + k
@@ -223,7 +248,7 @@ def _network_simplex(problem: TransportProblem):
     cols = np.arange(n)
     INF = 1 << 62
 
-    owner, core = _greedy_start(C2, supply, problem.demands)
+    owner, core = _greedy_start(C2 - np.reshape(mu, (-1, 1)), supply, problem.demands)
     pi_cl = np.zeros(k, dtype=C2.dtype)
 
     def walk():
@@ -245,9 +270,9 @@ def _network_simplex(problem: TransportProblem):
                 if arc >= e:
                     pot[v] = pot[u]
                 elif v >= n:
-                    pot[v] = pot[u] - cost[arc]    # cluster below its split point
+                    pot[v] = pot[u] - cost(arc)    # cluster below its split point
                 else:
-                    pot[v] = pot[u] + cost[arc]    # split point below a cluster
+                    pot[v] = pot[u] + cost(arc)    # split point below a cluster
                     owner[v] = u - n
                 stack.append(v)
         pi_cl[:] = [pot[v] for v in range(n, root)]
@@ -285,8 +310,8 @@ def _network_simplex(problem: TransportProblem):
             break
         pivots += 1
         if pivots > max_pivots:
-            raise RuntimeError(f"network simplex exceeded {max_pivots} pivots; "
-                               "this indicates a bug, please report it")
+            raise PivotLimitError(f"network simplex exceeded {max_pivots} pivots; "
+                                  "this indicates a bug, please report it")
         i, j = divmod(a, n)
         # Cycle of the entering arc, as (arc, node it is traversed from), from
         # the apex down to j, across a, and from cluster i back up.
@@ -321,15 +346,41 @@ def _network_simplex(problem: TransportProblem):
     return owner, split, pi_cl, pivots
 
 
+def _ladder(instance: Instance, resolution, sites):
+    """Solve one level after the next coarser one, starting from its duals.
+
+    Returns (problem, owner, split, pi_cl, pivots) of this level, with the
+    pivots of every level below it added in.
+    """
+    problem = build_transport(instance, resolution=resolution, sites=sites)
+    exps = problem.resolution.exponents
+    low_exps = tuple(e - 1 if e > _LADDER_BASE else e for e in exps)
+    if low_exps == exps:
+        return (problem, *_network_simplex(problem))
+    low, _, _, pi_low, below = _ladder(instance, low_exps, sites)
+    # Start potentials mu = -pi in this level's cost units.  A coarser level
+    # never has more cost bits, and is exact whenever this one is, so on the
+    # exact path the shift is an integer.  C - mu stays within int64: mu,
+    # like any potential, is a sum of at most 2k+4 costs, C adds one more,
+    # and build_transport keeps (2k+4) such terms below 2^62.
+    if problem.exact:
+        mu = -pi_low * (1 << 2 * (problem.cost_bits - low.cost_bits))
+    else:
+        mu = -pi_low / 4**low.cost_bits
+    owner, split, pi_cl, pivots = _network_simplex(problem, mu)
+    return problem, owner, split, pi_cl, below + pivots
+
+
 def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
     """Globally optimal basic solution of the assignment LP at resolution r.
 
-    Deterministic: fixed greedy start, fixed pivot and tie-break rules.
-    When every kappa_i is an integer multiple of nu(r), the basic optimum is
-    integer; in general at most 2(k-1) assignment fractions are fractional.
+    Deterministic: ladder start from the coarser level's duals (every axis
+    exponent above _LADDER_BASE lowered by one), fixed pivot and tie-break
+    rules; pivots counts all levels.  When every kappa_i is an integer
+    multiple of nu(r), the basic optimum is integer; in general at most
+    2(k-1) assignment fractions are fractional.
     """
-    problem = build_transport(instance, resolution=resolution, sites=sites)
-    owner, split, pi_cl, pivots = _network_simplex(problem)
+    problem, owner, split, pi_cl, pivots = _ladder(instance, resolution, sites)
     k, n = problem.k, problem.n
     cols = np.arange(n)
 

@@ -133,3 +133,23 @@ def clustering_entries(C):
 def site_fractions(sites):
     """Exact binary values of a float site array."""
     return [tuple(Fraction(float(x)) for x in row) for row in sites]
+
+
+def exact_dual_bound(rho, sites, kappa, duals, norms=None) -> Fraction:
+    """sum_i kappa_i mu_i + nu sum_j min_i (c_ij - mu_i) for the given duals.
+
+    By weak duality this is a lower bound on the assignment LP optimum for
+    any mu whatever, and every float is a dyadic rational, so evaluated in
+    Fractions it is a rigorous certificate.  sites and norms as in
+    exact_cost; kappa and duals may be floats.
+    """
+    nu = exact_volume(rho)
+    mu = [Fraction(float(m)) for m in duals]
+    total = sum((Fraction(float(w)) * m for w, m in zip(kappa, mu)), Fraction(0))
+    for point in exact_points(rho):
+        total += nu * min(
+            exact_sq_norm(tuple(x - s for x, s in zip(point, site)),
+                          None if norms is None else norms[i]) - mu[i]
+            for i, site in enumerate(sites)
+        )
+    return total

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridcoreset import cli, solver
 from gridcoreset.cli import (
     CSV_FIELDS,
     _parse_axes,
@@ -208,6 +209,15 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["verify", str(unbalanced)]) == 2
     assert main(["gen", "--d", "2", "--rho", "3", "--k", "2"]) == 2  # d mismatch
     capsys.readouterr()
+
+
+def test_pivot_cap_exits_3(monkeypatch, capsys):
+    def capped(*args, **kwargs):
+        raise solver.PivotLimitError("network simplex exceeded 7 pivots")
+
+    monkeypatch.setattr(cli, "solve_assignment", capped)
+    assert main(["solve", str(GOLDEN)]) == 3
+    assert capsys.readouterr().err == "error: network simplex exceeded 7 pivots\n"
 
 
 def test_coarsen_rejects_nan_site(tmp_path, capsys):
