@@ -4,8 +4,8 @@ Merging each fine grid X(rho) batch into its coarse representative loses a
 fixed amount of within-batch scatter that is independent of the clustering
 and of the sites.  That amount, delta_offset, is an exact dyadic rational,
 so "solve coarse, add the offset" reproduces fine costs up to the epsilon
-guarantee checked by verify_property_b.  Everything here is isotropic; the
-anisotropic case goes through transfer_bound instead.
+guarantee checked by verify_property_b.  Under per-cluster norms the lost
+scatter is lift_offset; the guarantee reaches them through transfer_bound.
 """
 
 from __future__ import annotations
@@ -72,6 +72,15 @@ def delta_offset(rho, tau) -> float:
     return float(delta_offset_exact(rho, tau))
 
 
+def lift_offset(plan: CoresetPlan, weights, norms: NormFamily | None = None) -> float:
+    """cost_A(extend(C)) - cost_A,tau(C) for every coarse C with cluster weights w: sum_i w_i
+    sum_t (A_i)_tt (4^-tau_t - 4^-rho_t)/12, so plan.delta when A = I and 0 when tau = rho."""
+    if norms is None:
+        return plan.delta
+    v = (4.0 ** -np.array(plan.tau.exponents) - 4.0 ** -np.array(plan.rho.exponents)) / 12
+    return float(np.asarray(weights) @ np.einsum("itt,t->i", norms.matrices, v))
+
+
 @dataclass(frozen=True)
 class CoresetPlan:
     """A chosen coarsening: source and coarse resolutions plus the exact offset."""
@@ -117,30 +126,31 @@ def restrict(C: Clustering, plan: CoresetPlan) -> Clustering:
     rho, tau = plan.rho, plan.tau
     if C.n != rho.n:
         raise ValueError(f"clustering has {C.n} points, grid has {rho.n}")
-    m = merge_map(rho, tau)
-    batch = rho.n // tau.n
-    keys = C.rows * tau.n + m[C.cols]
-    uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inv, weights=C.vals, minlength=uniq.size)
-    return Clustering(k=C.k, n=tau.n, rows=uniq // tau.n, cols=uniq % tau.n,
-                      vals=sums / batch)
+    keys = C.rows * tau.n + merge_map(rho, tau)[C.cols]
+    sums = np.bincount(keys, weights=C.vals, minlength=C.k * tau.n)
+    keys = np.flatnonzero(sums)
+    return Clustering(k=C.k, n=tau.n, rows=keys // tau.n, cols=keys % tau.n,
+                      vals=sums[keys] / (rho.n // tau.n))
 
 
 def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     """Lift a coarse clustering to X(rho): every point inherits its batch's fractions.
 
-    This is the section g of the merge map; restrict(extend(C), plan)
-    returns C unchanged.
+    The section g of the merge map, so restrict(extend(C), plan) returns C.
+    Gathered through it, each cluster's nonzeros come out in point order.
     """
     rho, tau = plan.rho, plan.tau
     if C_tilde.n != tau.n:
         raise ValueError(f"clustering has {C_tilde.n} points, coarse grid has {tau.n}")
     m = merge_map(rho, tau)
     batch = rho.n // tau.n
-    by_cell = np.argsort(m, kind="stable").reshape(tau.n, batch)
-    cols = by_cell[C_tilde.cols].ravel()
     rows = np.repeat(C_tilde.rows, batch)
-    vals = np.repeat(C_tilde.vals, batch)
+    cols, vals = np.empty_like(rows), np.empty(rows.size)
+    for row, sl in zip(C_tilde.to_dense(), C_tilde.cluster_slices()):
+        lifted = row[m]
+        fine = slice(sl.start * batch, sl.stop * batch)
+        cols[fine] = np.flatnonzero(lifted)
+        vals[fine] = lifted[cols[fine]]
     return Clustering(k=C_tilde.k, n=rho.n, rows=rows, cols=cols, vals=vals)
 
 
@@ -189,9 +199,9 @@ class CoarseSolve:
 def solve_coarse(instance: Instance, sites=None, plan: CoresetPlan | None = None) -> CoarseSolve:
     """Solve at the coarse resolution (Euclidean costs) and lift the optimum.
 
-    The lifted clustering is feasible for the fine problem; its cost is
-    evaluated under the instance norms, which is how anisotropic instances
-    reuse the Euclidean coreset machinery.
+    The lifted clustering is feasible for the fine problem; its cost under
+    the instance norms (how anisotropic instances reuse the Euclidean
+    machinery) is the coarse cost plus lift_offset, with no fine-grid pass.
     """
     if plan is None:
         plan = make_plan(instance.k, instance.epsilon, instance.rho)
@@ -200,9 +210,9 @@ def solve_coarse(instance: Instance, sites=None, plan: CoresetPlan | None = None
         k=instance.k, rho=instance.rho, kappa=instance.kappa, epsilon=instance.epsilon,
     )
     coarse = solve_assignment(euclid, resolution=plan.tau, sites=sites)
-    extended = extend(coarse.clustering, plan)
-    cost = cost_sites(extended, sites, plan.rho, instance.norms)
-    return CoarseSolve(plan=plan, coarse=coarse, extended=extended, extended_cost=cost)
+    cost = cost_sites(coarse.clustering, sites, plan.tau, instance.norms)
+    return CoarseSolve(plan=plan, coarse=coarse, extended=extend(coarse.clustering, plan),
+                       extended_cost=cost + lift_offset(plan, instance.kappa, instance.norms))
 
 
 def transfer_bound(gamma: float, epsilon, norms: NormFamily) -> float:

@@ -16,8 +16,12 @@ import numpy as np
 from .grid import as_resolution, coords_array
 from .model import Clustering, site_array, sq_dists
 
-# Power-distance differences below this count as a tie (a cell boundary).
+# Power differences below this times the power magnitude (at least 1) are ties.
 BOUNDARY_TOL = 1e-9
+
+
+def _boundary_tol(pw: np.ndarray) -> float:
+    return BOUNDARY_TOL * max(1.0, float(np.abs(pw).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,8 @@ def assign(diagram: PowerDiagram, points):
     """Cell label and boundary flag per point.
 
     The label is the argmin of the power distance (lowest index on ties);
-    the flag is set when the two smallest powers differ by at most
-    BOUNDARY_TOL, i.e. the point lies on a cell boundary.  A single point
+    the flag is set when the two smallest powers tie within _boundary_tol,
+    i.e. the point lies on a cell boundary.  A single point
     yields plain (int, bool); an array of points yields two arrays.
     """
     single = np.ndim(points) == 0 if diagram.d == 1 else np.ndim(points) == 1
@@ -80,7 +84,7 @@ def assign(diagram: PowerDiagram, points):
         boundary = np.zeros(pw.shape[1], dtype=bool)
     else:
         two = np.partition(pw, 1, axis=0)
-        boundary = two[1] - two[0] <= BOUNDARY_TOL
+        boundary = two[1] - two[0] <= _boundary_tol(pw)
     if single:
         return int(labels[0]), bool(boundary[0])
     return labels, boundary
@@ -97,7 +101,7 @@ def check_compatibility(C: Clustering, diagram: PowerDiagram, rho) -> Compatibil
 
     The violation at a support point is its power distance to its own site
     minus the minimum over all sites; compatible means the worst violation
-    is at most BOUNDARY_TOL, so a point whose nearest cell beats every
+    is at most _boundary_tol, so a point whose nearest cell beats every
     other by more than that lies wholly in that cell.
     """
     rho = as_resolution(rho)
@@ -107,4 +111,4 @@ def check_compatibility(C: Clustering, diagram: PowerDiagram, rho) -> Compatibil
         raise ValueError(f"diagram has {diagram.k} cells, clustering has {C.k} clusters")
     pw = diagram.powers(coords_array(rho))
     worst = float(np.max(pw[C.rows, C.cols] - pw.min(axis=0)[C.cols], initial=0.0))
-    return CompatibilityReport(compatible=worst <= BOUNDARY_TOL, worst_violation=worst)
+    return CompatibilityReport(compatible=worst <= _boundary_tol(pw), worst_violation=worst)

@@ -186,7 +186,7 @@ class Instance:
 class Clustering:
     """Sparse fractional assignment: entries (i, j, xi_ij) with unit column sums.
 
-    Entries are stored sorted by (cluster, point); zero entries are dropped.
+    Entries are kept sorted by (cluster, point) in read-only copies of the inputs.
     """
 
     k: int
@@ -196,9 +196,9 @@ class Clustering:
     vals: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64).ravel()
-        cols = np.asarray(self.cols, dtype=np.int64).ravel()
-        vals = np.asarray(self.vals, dtype=np.float64).ravel()
+        rows = np.array(self.rows, dtype=np.int64).ravel()
+        cols = np.array(self.cols, dtype=np.int64).ravel()
+        vals = np.array(self.vals, dtype=np.float64).ravel()
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols, vals must have equal length")
         if rows.size and (rows.min() < 0 or rows.max() >= self.k):
@@ -208,10 +208,11 @@ class Clustering:
         if np.any(vals <= 0.0) or np.any(vals > 1.0):
             raise ValueError("assignment fractions must lie in (0, 1]")
         keys = rows * self.n + cols
-        order = np.argsort(keys)
-        rows, cols, vals, keys = rows[order], cols[order], vals[order], keys[order]
-        if keys.size and np.any(np.diff(keys) == 0):
-            raise ValueError("duplicate (cluster, point) entries")
+        if np.any(keys[1:] <= keys[:-1]):  # strictly increasing: sorted, no duplicates
+            order = np.argsort(keys)
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            if np.any(np.diff(keys[order]) == 0):
+                raise ValueError("duplicate (cluster, point) entries")
         sums = np.bincount(cols, weights=vals, minlength=self.n)
         worst = float(np.max(np.abs(sums - 1.0))) if self.n else 0.0
         if worst > COLUMN_SUM_TOL:

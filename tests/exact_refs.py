@@ -3,6 +3,7 @@
 Everything here is computed from first principles with Fraction sums and
 brute-force enumeration, deliberately avoiding the package's own closed
 forms and vectorized identities.  Slow but exact; keep inputs small.
+argsort_extend is the one numpy reference, a lift by sorting.
 """
 
 from __future__ import annotations
@@ -10,6 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from gridcoreset.grid import merge_map
+from gridcoreset.model import Clustering
 
 
 def exact_point(rho, j):
@@ -153,3 +159,16 @@ def exact_dual_bound(rho, sites, kappa, duals, norms=None) -> Fraction:
             for i, site in enumerate(sites)
         )
     return total
+
+
+def argsort_extend(C_tilde, plan):
+    """The lift by sorting the merge map: batch members of every coarse entry.
+
+    The package's extend gathers each cluster's row through the merge map
+    instead; its rows, cols and vals must match these bit for bit.
+    """
+    m = merge_map(plan.rho, plan.tau)
+    batch = plan.rho.n // plan.tau.n
+    by_cell = np.argsort(m, kind="stable").reshape(plan.tau.n, batch)
+    return Clustering(k=C_tilde.k, n=plan.rho.n, rows=np.repeat(C_tilde.rows, batch),
+                      cols=by_cell[C_tilde.cols].ravel(), vals=np.repeat(C_tilde.vals, batch))

@@ -1,5 +1,6 @@
 """Coarsening plans: offsets, restriction/extension, coreset inequalities."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from gridcoreset.coreset import (
     delta_offset,
     delta_offset_exact,
     extend,
+    lift_offset,
     make_plan,
     restrict,
     size_report,
@@ -34,7 +36,7 @@ from gridcoreset.model import (
 )
 from gridcoreset.solver import solve_assignment
 
-from exact_refs import exact_delta
+from exact_refs import argsort_extend, exact_delta
 
 
 def test_coarsening_exponent_frozen():
@@ -168,6 +170,73 @@ def test_restrict_extend_roundtrip(rho, data):
     assert np.array_equal(back.to_dense(), C_tilde.to_dense())
     w = cluster_weights(extend(C_tilde, plan), rho)
     assert np.array_equal(w, cluster_weights(C_tilde, tau))
+
+
+def every_tau(rho):
+    return itertools.product(*(range(rt + 1) for rt in rho))
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple), st.data())
+@settings(max_examples=30, deadline=None)
+def test_extend_matches_argsort_reference(rho, data):
+    k = data.draw(st.integers(1, 3), label="k")
+    for tau in every_tau(rho):
+        plan = plan_for(rho, tau)
+        C_tilde = data.draw(random_clustering(as_resolution(tau).n, k), label="C")
+        new, ref = extend(C_tilde, plan), argsort_extend(C_tilde, plan)
+        for a, b in ((new.rows, ref.rows), (new.cols, ref.cols), (new.vals, ref.vals)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def norm_family(draw, k, d):
+    # B B^T + I with dyadic B: symmetric positive definite, entries exact.
+    mats = []
+    for _ in range(k):
+        B = np.array([[draw(st.integers(-8, 8)) / 8 for _ in range(d)] for _ in range(d)])
+        mats.append(B @ B.T + np.eye(d))
+    return NormFamily(np.array(mats))
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple), st.booleans(),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_lift_offset_matches_fine_cost(rho, aniso, data):
+    k = data.draw(st.integers(1, 3), label="k")
+    d = len(rho)
+    norms = data.draw(norm_family(k, d), label="norms") if aniso else None
+    sites = np.array([[data.draw(st.floats(-1.0, 2.0), label="s") for _ in range(d)]
+                      for _ in range(k)])
+    for tau in every_tau(rho):
+        plan = plan_for(rho, tau)
+        C_tilde = data.draw(random_clustering(as_resolution(tau).n, k), label="C")
+        closed = cost_sites(C_tilde, sites, tau, norms) \
+            + lift_offset(plan, cluster_weights(C_tilde, tau), norms)
+        direct = cost_sites(extend(C_tilde, plan), sites, rho, norms)
+        if tau == rho:
+            assert closed == direct
+        else:
+            assert abs(closed - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("aniso", [False, True])
+def test_solve_coarse_cost_is_closed_form(aniso):
+    rng = np.random.default_rng(11)
+    norms = NormFamily(np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]],
+                                 [[1.5, -0.25], [-0.25, 0.75]]])) if aniso else None
+    inst = Instance(k=3, rho=(6, 5), kappa=(0.25, 0.25, 0.5), norms=norms)
+    for tau in ((6, 5), (3, 4), (0, 0)):
+        plan = plan_for((6, 5), tau, k=3)
+        sites = rng.uniform(0.0, 1.0, size=(3, 2))
+        out = solve_coarse(inst, sites=sites, plan=plan)
+        direct = cost_sites(out.extended, sites, inst.rho, norms)
+        if tau == (6, 5):
+            assert out.extended_cost == direct
+        else:
+            assert abs(out.extended_cost - direct) <= 1e-12 * direct
+        # The float per-axis spread reproduces the exact offset when A = I.
+        eye = NormFamily(np.array([np.eye(2)] * 3))
+        assert lift_offset(plan, inst.kappa, eye) == lift_offset(plan, inst.kappa) == plan.delta
 
 
 @given(st.data())

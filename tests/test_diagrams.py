@@ -106,6 +106,26 @@ def test_optimal_solution_is_compatible():
         assert rep.worst_violation <= BOUNDARY_TOL
 
 
+def test_compatibility_tolerance_scales_with_sites():
+    # Sites scaled by 1e6 give powers near 1e12, whose rounding (~1e-4)
+    # exceeds an absolute 1e-9 tie width; a swapped pair must still show.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        units = 1 + rng.multinomial(1024 - 3, [1 / 3] * 3)
+        inst = Instance(k=3, rho=(5, 5), kappa=tuple(int(u) / 1024 for u in units),
+                        sites=rng.uniform(0.0, 1.0, size=(3, 2)) * 1e6)
+        res = solve_assignment(inst)
+        diag = from_duals(inst.sites, res.duals)
+        assert not res.exact
+        assert check_compatibility(res.clustering, diag, (5, 5)).compatible
+        labels = np.argmax(res.clustering.to_dense(), axis=0)
+        i0 = int(np.nonzero(labels == 0)[0][0])
+        i1 = int(np.nonzero(labels == 1)[0][-1])
+        labels[i0], labels[i1] = 1, 0
+        swapped = Clustering.from_labels(3, labels)
+        assert not check_compatibility(swapped, diag, (5, 5)).compatible
+
+
 def test_integer_optimum_is_strongly_compatible():
     rng = np.random.default_rng(43)
     for _ in range(10):

@@ -152,6 +152,30 @@ def test_clustering_validation():
         Clustering.from_entries(2, 1, [(2, 0, 1.0)])  # row out of range
 
 
+def test_clustering_sorts_only_unsorted_input():
+    rows = np.array([0, 0, 1, 1, 2], dtype=np.int64)
+    cols = np.array([0, 2, 1, 2, 3], dtype=np.int64)
+    vals = np.array([1.0, 0.5, 1.0, 0.5, 1.0])
+    ref = Clustering(k=3, n=4, rows=rows, cols=cols, vals=vals)
+    # Sorted input is kept in read-only copies; the caller's arrays stay writable.
+    assert all(a.flags.writeable and not b.flags.writeable and not np.shares_memory(a, b)
+               for a, b in ((rows, ref.rows), (cols, ref.cols), (vals, ref.vals)))
+    perm = np.random.default_rng(0).permutation(5)
+    shuffled = Clustering(k=3, n=4, rows=rows[perm], cols=cols[perm], vals=vals[perm])
+    for a, b in ((shuffled.rows, ref.rows), (shuffled.cols, ref.cols),
+                 (shuffled.vals, ref.vals)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    dup = [(0, 0, 0.5), (0, 0, 0.5)]
+    with pytest.raises(ValueError, match="duplicate"):
+        Clustering.from_entries(1, 1, dup)  # sorted, with a duplicate
+    with pytest.raises(ValueError, match="duplicate"):
+        Clustering.from_entries(2, 2, [(1, 1, 1.0)] + dup)  # unsorted, with a duplicate
+    empty = Clustering(k=2, n=0, rows=[], cols=[], vals=[])
+    assert empty.rows.size == 0 and empty.rows.dtype == np.int64
+    with pytest.raises(ValueError, match="column sums"):
+        Clustering(k=2, n=3, rows=[], cols=[], vals=[])
+
+
 def test_clustering_roundtrip_and_flags():
     C = split_clustering()
     dense = C.to_dense()
