@@ -14,7 +14,7 @@ from .model import (Clustering, Instance, NormFamily, centroids,
 from .solver import (AlternateOutcome, SolveResult, TransportProblem,
                      alternate_minimize, build_transport, solve_assignment)
 from .coreset import (CoarseSolve, CoresetPlan, SizeReport, coarsening_exponent,
-                      delta_offset, delta_offset_exact, extend, lift_offset, make_plan,
+                      delta_offset, delta_offset_exact, extend, make_plan,
                       restrict, size_report, solve_coarse, target_resolution,
                       transfer_bound, verify_property_a, verify_property_b)
 from .diagrams import (CompatibilityReport, PowerDiagram, assign,
@@ -32,7 +32,7 @@ __all__ = [
     "AlternateOutcome", "SolveResult", "TransportProblem",
     "alternate_minimize", "build_transport", "solve_assignment",
     "CoarseSolve", "CoresetPlan", "SizeReport", "coarsening_exponent",
-    "delta_offset", "delta_offset_exact", "extend", "lift_offset", "make_plan", "restrict",
+    "delta_offset", "delta_offset_exact", "extend", "make_plan", "restrict",
     "size_report", "solve_coarse", "target_resolution", "transfer_bound",
     "verify_property_a", "verify_property_b",
     "CompatibilityReport", "PowerDiagram", "assign", "check_compatibility",

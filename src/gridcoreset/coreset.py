@@ -137,21 +137,34 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     """Lift a coarse clustering to X(rho): every point inherits its batch's fractions.
 
     The section g of the merge map, so restrict(extend(C), plan) returns C.
-    Gathered through it, each cluster's nonzeros come out in point order.
+    Fine points order as (c_0, r_0, c_1, r_1, ...) in coarse cell c and batch
+    offset r, so a lifted entry's rank in its cluster sums coarse run counts
+    over the axes: one scatter, no sort, no pass per cluster.
     """
     rho, tau = plan.rho, plan.tau
     if C_tilde.n != tau.n:
         raise ValueError(f"clustering has {C_tilde.n} points, coarse grid has {tau.n}")
-    m = merge_map(rho, tau)
+    rows, cols = C_tilde.rows, C_tilde.cols
     batch = rho.n // tau.n
-    rows = np.repeat(C_tilde.rows, batch)
-    cols, vals = np.empty_like(rows), np.empty(rows.size)
-    for row, sl in zip(C_tilde.to_dense(), C_tilde.cluster_slices()):
-        lifted = row[m]
-        fine = slice(sl.start * batch, sl.stop * batch)
-        cols[fine] = np.flatnonzero(lifted)
-        vals[fine] = lifted[cols[fine]]
-    return Clustering(k=C_tilde.k, n=rho.n, rows=rows, cols=cols, vals=vals)
+    # Batch offsets run innermost, entries when batches are tiny: long numpy inner loops.
+    ent, off = ((-1, 1), (1, -1)) if batch >= 8 else ((1, -1), (-1, 1))
+    base, fbase, rank, fine = np.arange(rows.size), 0, 0, 0  # per-entry, per-offset parts
+    q, s, f = batch, tau.n, rho.n  # fine points per batch, coarse and fine grid sizes
+    for re, te in zip(rho.exponents, tau.exponents):
+        r, s, f = 1 << (re - te), s >> te, f >> re
+        fbase = fbase + cols // s % (1 << te) * r * f
+        if r > 1:  # runs of entries that share the cluster and coarse axes up to this one
+            key = rows * (tau.n // s) + cols // s
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            counts = np.diff(starts, append=key.size)
+            base, q = base + (q - q // r) * np.repeat(starts, counts), q // r
+            step = (np.arange(batch) // q % r).reshape(off)
+            rank, fine = rank + (q * np.repeat(counts, counts)).reshape(ent) * step, fine + step * f
+    rank = base.reshape(ent) + rank
+    lifted, vals = np.empty(rank.size, dtype=np.int64), np.empty(rank.size)
+    lifted[rank.ravel()] = (fbase.reshape(ent) + fine).ravel()
+    vals[rank.ravel()] = np.broadcast_to(C_tilde.vals.reshape(ent), rank.shape).ravel()
+    return Clustering(k=C_tilde.k, n=rho.n, rows=np.repeat(rows, batch), cols=lifted, vals=vals)
 
 
 def verify_property_a(C_tilde: Clustering, sites, instance: Instance,

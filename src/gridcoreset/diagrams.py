@@ -16,12 +16,12 @@ import numpy as np
 from .grid import as_resolution, coords_array
 from .model import Clustering, site_array, sq_dists
 
-# Power differences below this times the power magnitude (at least 1) are ties.
+# Power differences below this times the point's largest power (at least 1) are ties.
 BOUNDARY_TOL = 1e-9
 
 
-def _boundary_tol(pw: np.ndarray) -> float:
-    return BOUNDARY_TOL * max(1.0, float(np.abs(pw).max(initial=0.0)))
+def _boundary_tol(pw: np.ndarray) -> np.ndarray:
+    return BOUNDARY_TOL * np.maximum(1.0, np.abs(pw).max(axis=0, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def assign(diagram: PowerDiagram, points):
 
     The label is the argmin of the power distance (lowest index on ties);
     the flag is set when the two smallest powers tie within _boundary_tol,
-    i.e. the point lies on a cell boundary.  A single point
-    yields plain (int, bool); an array of points yields two arrays.
+    i.e. the point lies on a cell boundary; it depends on that point alone.
+    A single point yields plain (int, bool); an array of points yields two arrays.
     """
     single = np.ndim(points) == 0 if diagram.d == 1 else np.ndim(points) == 1
     pw = diagram.powers(points)
@@ -100,9 +100,9 @@ def check_compatibility(C: Clustering, diagram: PowerDiagram, rho) -> Compatibil
     """Whether every support point of every cluster lies in that cluster's cell.
 
     The violation at a support point is its power distance to its own site
-    minus the minimum over all sites; compatible means the worst violation
-    is at most _boundary_tol, so a point whose nearest cell beats every
-    other by more than that lies wholly in that cell.
+    minus the minimum over all sites; compatible means every violation is
+    at most that point's _boundary_tol, so a point whose nearest cell beats
+    every other by more than that lies wholly in that cell.
     """
     rho = as_resolution(rho)
     if C.n != rho.n:
@@ -110,5 +110,6 @@ def check_compatibility(C: Clustering, diagram: PowerDiagram, rho) -> Compatibil
     if diagram.k != C.k:
         raise ValueError(f"diagram has {diagram.k} cells, clustering has {C.k} clusters")
     pw = diagram.powers(coords_array(rho))
-    worst = float(np.max(pw[C.rows, C.cols] - pw.min(axis=0)[C.cols], initial=0.0))
-    return CompatibilityReport(compatible=worst <= _boundary_tol(pw), worst_violation=worst)
+    excess = pw[C.rows, C.cols] - pw.min(axis=0)[C.cols]
+    return CompatibilityReport(compatible=bool(np.all(excess <= _boundary_tol(pw)[C.cols])),
+                               worst_violation=float(np.max(excess, initial=0.0)))

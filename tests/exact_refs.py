@@ -164,8 +164,8 @@ def exact_dual_bound(rho, sites, kappa, duals, norms=None) -> Fraction:
 def argsort_extend(C_tilde, plan):
     """The lift by sorting the merge map: batch members of every coarse entry.
 
-    The package's extend gathers each cluster's row through the merge map
-    instead; its rows, cols and vals must match these bit for bit.
+    The package's extend scatters each lifted entry to its rank instead;
+    its rows, cols and vals must match these bit for bit.
     """
     m = merge_map(plan.rho, plan.tau)
     batch = plan.rho.n // plan.tau.n

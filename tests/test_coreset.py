@@ -179,7 +179,7 @@ def every_tau(rho):
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple), st.data())
 @settings(max_examples=30, deadline=None)
 def test_extend_matches_argsort_reference(rho, data):
-    k = data.draw(st.integers(1, 3), label="k")
+    k = data.draw(st.integers(1, 5), label="k")
     for tau in every_tau(rho):
         plan = plan_for(rho, tau)
         C_tilde = data.draw(random_clustering(as_resolution(tau).n, k), label="C")

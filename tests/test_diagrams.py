@@ -126,6 +126,17 @@ def test_compatibility_tolerance_scales_with_sites():
         assert not check_compatibility(swapped, diag, (5, 5)).compatible
 
 
+def test_boundary_flag_is_a_property_of_the_point():
+    # Powers x^2 and (x - 1)^2 differ by 1 - 2x = 5e-9 here: no tie alone,
+    # and a far point with powers near 1e10 in the same call changes nothing.
+    diag = PowerDiagram(sites=[[0.0], [1.0]], gamma=[0.0, 0.0])
+    x = 0.5 - 2.5e-9
+    assert assign(diag, x) == (0, False)
+    labels, boundary = assign(diag, np.array([x, 1e5, 0.5]))
+    assert labels.tolist() == [0, 1, 0]
+    assert boundary.tolist() == [False, False, True]
+
+
 def test_integer_optimum_is_strongly_compatible():
     rng = np.random.default_rng(43)
     for _ in range(10):
