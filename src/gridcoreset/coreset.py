@@ -144,6 +144,8 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     rho, tau = plan.rho, plan.tau
     if C_tilde.n != tau.n:
         raise ValueError(f"clustering has {C_tilde.n} points, coarse grid has {tau.n}")
+    if tau == rho:  # the lift is the identity; a Clustering is immutable
+        return C_tilde
     rows, cols = C_tilde.rows, C_tilde.cols
     batch = rho.n // tau.n
     # Batch offsets run innermost, entries when batches are tiny: long numpy inner loops.
