@@ -139,7 +139,8 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     The section g of the merge map, so restrict(extend(C), plan) returns C.
     Fine points order as (c_0, r_0, c_1, r_1, ...) in coarse cell c and batch
     offset r, so a lifted entry's rank in its cluster sums coarse run counts
-    over the axes: one scatter, no sort, no pass per cluster.
+    over the axes; entries are scattered to their ranks, with no sort and no
+    pass per cluster.
     """
     rho, tau = plan.rho, plan.tau
     if C_tilde.n != tau.n:
