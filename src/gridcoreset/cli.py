@@ -98,7 +98,12 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    """The instance in a JSON file; a malformed one raises ValueError."""
+    doc = json.loads(Path(path).read_text())
+    try:
+        return instance_from_dict(doc)
+    except (TypeError, ZeroDivisionError) as exc:  # e.g. null, a list, a kappa over 0
+        raise ValueError(f"malformed instance file {path}: {exc}") from exc
 
 
 def generate_instance(d: int, rho, k: int, seed: int,
@@ -183,7 +188,7 @@ class _Reporter:
 
 
 def _row_to_stderr(row: dict) -> None:
-    print(",".join(_fmt(row[f]) for f in CSV_FIELDS), file=sys.stderr)
+    csv.writer(sys.stderr, lineterminator="\n").writerow(_fmt(row[f]) for f in CSV_FIELDS)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

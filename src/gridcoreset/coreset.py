@@ -42,7 +42,7 @@ def coarsening_exponent(k: int, epsilon) -> int:
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
     need = 32 * k**3 / eps**2
-    t = max(0, (need.numerator // need.denominator).bit_length() // 3 - 1)
+    t = 0
     while 8**t < need:
         t += 1
     return t

@@ -50,6 +50,8 @@ class NormFamily:
         mats = np.asarray(self.matrices, dtype=np.float64)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected a (k, d, d) matrix stack, got shape {mats.shape}")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("matrices must be finite")
         sym_residual = float(np.max(np.abs(mats - np.transpose(mats, (0, 2, 1)))))
         if sym_residual > 1e-12:
             raise ValueError(f"matrices not symmetric: residual {sym_residual:.3e} > 1e-12")

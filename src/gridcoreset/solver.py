@@ -28,11 +28,11 @@ Euclidean norm), pricing runs in 64-bit integers and the optimum is exact.
 Every solve climbs a coarse-to-fine resolution ladder, as in Merigot, "A
 multiscale approach to optimal transport" (2011), and Schmitzer, "A sparse
 multiscale algorithm for dense optimal transport" (2016): the same instance
-is solved one dyadic level coarser first, and the greedy start of the finer
-level runs on its costs shifted by the coarser level's cluster potentials.
-Those nearly fix the fine power diagram, so few pivots remain.  Any shift
-gives a feasible start, so the ladder changes the pivot path, never the
-optimum.
+is solved one dyadic level coarser first, in one cost unit per solve, and
+the finer level's greedy start runs on its costs shifted by the coarser
+level's cluster potentials.  Those nearly fix the fine power diagram, so
+few pivots remain.  Any shift gives a feasible start: the ladder changes
+the pivot path, never the optimum.
 """
 
 from __future__ import annotations
@@ -138,12 +138,13 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
 
     pts = coords_array(r)
     # Exact integer costs when isotropic and every coordinate lies over
-    # 2^bits: points over 2^(r_t+1), sites over their own (power-of-two)
+    # 2^bits: grid points over 2^(rho_t+1) at any r <= rho, so every level
+    # of a solve shares one cost unit; sites over their own (power-of-two)
     # denominators.  Sites within [-4, 4] keep coordinate differences below
     # 5 * 2^bits, and the reduced costs then stay within int64: potentials
     # are alternating cost sums along tree paths, at most 2k+4 terms, each
     # at most 25 * d * 4^bits.
-    bits = max([e + 1 for e in r.exponents]
+    bits = max([e + 1 for e in rho.exponents]
                + [Fraction(v).denominator.bit_length() - 1 for v in s.flat])
     if (instance.norms is None and bits <= MAX_COST_BITS and np.all(np.abs(s) <= 4)
             and (2 * k + 4) * 25 * rho.d * 4**bits < 2**62):
@@ -346,41 +347,25 @@ def _network_simplex(problem: TransportProblem, mu=0):
     return owner, split, pi_cl, pivots
 
 
-def _ladder(instance: Instance, resolution, sites):
-    """Solve one level after the next coarser one, starting from its duals.
-
-    Returns (problem, owner, split, pi_cl, pivots) of this level, with the
-    pivots of every level below it added in.
-    """
-    problem = build_transport(instance, resolution=resolution, sites=sites)
-    exps = problem.resolution.exponents
-    low_exps = tuple(e - 1 if e > _LADDER_BASE else e for e in exps)
-    if low_exps == exps:
-        return (problem, *_network_simplex(problem))
-    low, _, _, pi_low, below = _ladder(instance, low_exps, sites)
-    # Start potentials mu = -pi in this level's cost units.  A coarser level
-    # never has more cost bits, and is exact whenever this one is, so on the
-    # exact path the shift is an integer.  C - mu stays within int64: mu,
-    # like any potential, is a sum of at most 2k+4 costs, C adds one more,
-    # and build_transport keeps (2k+4) such terms below 2^62.
-    if problem.exact:
-        mu = -pi_low * (1 << 2 * (problem.cost_bits - low.cost_bits))
-    else:
-        mu = -pi_low / 4**low.cost_bits
-    owner, split, pi_cl, pivots = _network_simplex(problem, mu)
-    return problem, owner, split, pi_cl, below + pivots
-
-
 def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
     """Globally optimal basic solution of the assignment LP at resolution r.
 
-    Deterministic: ladder start from the coarser level's duals (every axis
-    exponent above _LADDER_BASE lowered by one), fixed pivot and tie-break
-    rules; pivots counts all levels.  When every kappa_i is an integer
-    multiple of nu(r), the basic optimum is integer; in general at most
-    2(k-1) assignment fractions are fractional.
+    Deterministic: fixed pivot and tie-break rules, and a ladder start that
+    solves the levels below r first (every axis exponent above _LADDER_BASE
+    lowered by one per level), all in one cost unit; pivots counts all
+    levels.  When every kappa_i is an integer multiple of nu(r), the basic
+    optimum is integer; in general at most 2(k-1) fractions are fractional.
     """
-    problem, owner, split, pi_cl, pivots = _ladder(instance, resolution, sites)
+    problem = build_transport(instance, resolution=resolution, sites=sites)
+    exps = problem.resolution.exponents
+    # Level m lowers each exponent above _LADDER_BASE by m, not below it, and
+    # starts from mu = -pi of level m + 1: C - mu sums 2k+5 costs, within int64.
+    mu, pivots = 0, 0
+    for m in range(max(exps) - _LADDER_BASE, 0, -1):
+        level = tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps)
+        *_, pi_cl, p = _network_simplex(build_transport(instance, level, sites), mu)
+        mu, pivots = -pi_cl, pivots + p
+    owner, split, pi_cl, p = _network_simplex(problem, mu)
     k, n = problem.k, problem.n
     cols = np.arange(n)
 
@@ -418,7 +403,7 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
         fractional_count=fractional,
         resolution=problem.resolution,
         dual_objective=dual_objective,
-        pivots=pivots,
+        pivots=pivots + p,
         exact=problem.exact,
     )
 

@@ -146,13 +146,14 @@ def test_verify_deterministic_csv(tmp_path):
 
 
 def test_verify_violation_exits_3(tmp_path, capsys):
-    code = main(["verify", str(GOLDEN), "--tau", "0", "--trials", "5",
-                 "--seed", "0"])
-    captured = capsys.readouterr()
+    path = tmp_path / "a,b.json"  # the stderr row quotes fields as the report does
+    path.write_text(GOLDEN.read_text())
+    code = main(["verify", str(path), "--tau", "0", "--trials", "5", "--seed", "0"])
     assert code == 3
-    assert "property_b" in captured.err
-    fields = captured.err.strip().split(",")
+    (fields,) = csv.reader(capsys.readouterr().err.splitlines())
     assert len(fields) == len(CSV_FIELDS)
+    assert fields[CSV_FIELDS.index("instance_id")] == "a,b"
+    assert fields[CSV_FIELDS.index("check")] == "property_b"
     assert float(fields[CSV_FIELDS.index("margin")]) < -1e-9
 
 
@@ -209,6 +210,32 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["verify", str(unbalanced)]) == 2
     assert main(["gen", "--d", "2", "--rho", "3", "--k", "2"]) == 2  # d mismatch
     capsys.readouterr()
+
+
+def _golden_with(**fields):
+    doc = json.loads(GOLDEN.read_text())
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "x",
+    _golden_with(k=None),
+    _golden_with(kappa=5),
+    _golden_with(rho=None),
+    _golden_with(epsilon=None),
+    _golden_with(kappa=[[3, 0], [1, 4]]),
+    _golden_with(matrices=[[[float("nan")]], [[1.0]]]),
+], ids=["list", "string", "k-null", "kappa-number", "rho-null", "epsilon-null",
+        "kappa-over-0", "matrix-nan"])
+def test_malformed_instance_files_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+    with pytest.raises(ValueError):
+        load_instance(path)
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_pivot_cap_exits_3(monkeypatch, capsys):

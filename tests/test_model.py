@@ -110,6 +110,12 @@ def test_instance_rejects_non_finite_sites(bad):
         Instance(k=2, rho=(4,), kappa=(0.5, 0.5), sites=[[bad], [0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_family_rejects_non_finite_matrices(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        NormFamily(np.array([[[bad]], [[1.0]]]))
+
+
 def test_site_array_checks():
     with pytest.raises(ValueError, match="no sites"):
         site_array(None, 2, 1)

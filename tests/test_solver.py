@@ -322,6 +322,9 @@ def test_exact_mode_boundary(k, site, norms, exact):
     problem = build_transport(inst)
     assert problem.exact is exact
     assert problem.costs.dtype == (np.int64 if exact else np.float64)
+    for e in range(6):  # every ladder level prices in the top level's unit
+        level = build_transport(inst, resolution=(e,))
+        assert (level.exact, level.cost_bits) == (exact, problem.cost_bits)
     res = solve_assignment(inst)
     assert res.exact is exact
     if exact:
