@@ -9,14 +9,14 @@ optimality.  See the README for the command-line interface.
 from .grid import (Resolution, as_resolution, batch_error, batch_error_exact,
                    coords_array, merge_map, voxel_volume)
 from .model import (Clustering, Instance, NormFamily, centroids,
-                    check_constraints, cluster_weights, cost_centroid,
-                    cost_sites, site_array, sq_dists)
+                    check_constraints, cluster_weights, cost_sites,
+                    site_array, sq_dists)
 from .solver import (AlternateOutcome, SolveResult, TransportProblem,
                      alternate_minimize, build_transport, solve_assignment)
 from .coreset import (CoarseSolve, CoresetPlan, SizeReport, coarsening_exponent,
-                      delta_offset, delta_offset_exact, extend, make_plan,
-                      restrict, size_report, solve_coarse, target_resolution,
-                      transfer_bound, verify_property_a, verify_property_b)
+                      delta_offset_exact, extend, make_plan, restrict, size_report,
+                      solve_coarse, transfer_bound, verify_property_a,
+                      verify_property_b)
 from .diagrams import (CompatibilityReport, PowerDiagram, assign,
                        check_compatibility, from_duals)
 from .oracle import (BruteForceResult, Opt1DResult, brute_force_constrained,
@@ -28,13 +28,12 @@ __all__ = [
     "Resolution", "as_resolution", "batch_error", "batch_error_exact",
     "coords_array", "merge_map", "voxel_volume",
     "Clustering", "Instance", "NormFamily", "centroids", "check_constraints",
-    "cluster_weights", "cost_centroid", "cost_sites", "site_array", "sq_dists",
+    "cluster_weights", "cost_sites", "site_array", "sq_dists",
     "AlternateOutcome", "SolveResult", "TransportProblem",
     "alternate_minimize", "build_transport", "solve_assignment",
     "CoarseSolve", "CoresetPlan", "SizeReport", "coarsening_exponent",
-    "delta_offset", "delta_offset_exact", "extend", "make_plan", "restrict",
-    "size_report", "solve_coarse", "target_resolution", "transfer_bound",
-    "verify_property_a", "verify_property_b",
+    "delta_offset_exact", "extend", "make_plan", "restrict", "size_report",
+    "solve_coarse", "transfer_bound", "verify_property_a", "verify_property_b",
     "CompatibilityReport", "PowerDiagram", "assign", "check_compatibility",
     "from_duals",
     "BruteForceResult", "Opt1DResult", "brute_force_constrained",

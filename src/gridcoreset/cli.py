@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -54,7 +55,7 @@ def _kappa_from_json(values) -> list[Fraction]:
         if isinstance(v, (list, tuple)):
             if len(v) != 2:
                 raise ValueError(f"kappa pair must be [numerator, denominator], got {v}")
-            out.append(Fraction(int(v[0]), int(v[1])))
+            out.append(Fraction(v[0], v[1]))
         else:
             out.append(Fraction(v))
     return out
@@ -83,7 +84,7 @@ def save_instance(instance: Instance, path, plan: CoresetPlan | None = None) -> 
 
 def instance_from_dict(doc: dict) -> Instance:
     rho = as_resolution(doc["rho"])
-    if int(doc.get("d", rho.d)) != rho.d:
+    if operator.index(doc.get("d", rho.d)) != rho.d:
         raise ValueError(f"d = {doc['d']} does not match rho with {rho.d} axes")
     kappa = _kappa_from_json(doc["kappa"])
     norms = None
@@ -91,7 +92,7 @@ def instance_from_dict(doc: dict) -> Instance:
         norms = NormFamily(np.asarray(doc["matrices"], dtype=np.float64))
     sites = doc.get("sites")
     return Instance(
-        k=int(doc["k"]), rho=rho, kappa=kappa,
+        k=doc["k"], rho=rho, kappa=kappa,
         sites=None if sites is None else np.asarray(sites, dtype=np.float64),
         norms=norms, epsilon=float(doc.get("epsilon", 0.5)),
     )

@@ -2,10 +2,11 @@
 
 Merging each fine grid X(rho) batch into its coarse representative loses a
 fixed amount of within-batch scatter that is independent of the clustering
-and of the sites.  That amount, delta_offset, is an exact dyadic rational,
-so "solve coarse, add the offset" reproduces fine costs up to the epsilon
-guarantee checked by verify_property_b.  Under per-cluster norms the lost
-scatter is lift_offset; the guarantee reaches them through transfer_bound.
+and of the sites.  That amount, CoresetPlan.delta (delta_offset_exact as a
+rational), is an exact dyadic rational, so "solve coarse, add the offset"
+reproduces fine costs up to the epsilon guarantee checked by
+verify_property_b.  Under per-cluster norms the lost scatter is
+lift_offset; the guarantee reaches them through transfer_bound.
 """
 
 from __future__ import annotations
@@ -48,28 +49,12 @@ def coarsening_exponent(k: int, epsilon) -> int:
     return t
 
 
-def target_resolution(k: int, epsilon, rho) -> Resolution:
-    """Coarse resolution tau with tau_t = min(rho_t, T), T the coarsening exponent.
-
-    At this resolution the coarse grid is an epsilon-coreset for every
-    weight-constrained clustering problem with at most k clusters.
-    """
-    rho = as_resolution(rho)
-    t = coarsening_exponent(k, epsilon)
-    return Resolution(tuple(min(e, t) for e in rho.exponents))
-
-
 def delta_offset_exact(rho, tau) -> Fraction:
     """The offset as an exact rational: |X(tau)| V(tau) = sum_t (1/12)(4^-tau_t - 4^-rho_t).
 
     Raises ValueError unless tau <= rho componentwise.
     """
     return as_resolution(tau).n * batch_error_exact(rho, tau)
-
-
-def delta_offset(rho, tau) -> float:
-    """Scatter lost by merging X(rho) into X(tau); exact dyadic, so the float is exact."""
-    return float(delta_offset_exact(rho, tau))
 
 
 def lift_offset(plan: CoresetPlan, weights, norms: NormFamily | None = None) -> float:
@@ -83,7 +68,8 @@ def lift_offset(plan: CoresetPlan, weights, norms: NormFamily | None = None) -> 
 
 @dataclass(frozen=True)
 class CoresetPlan:
-    """A chosen coarsening: source and coarse resolutions plus the exact offset."""
+    """A chosen coarsening: source and coarse resolutions plus the offset delta,
+    the scatter lost by merging X(rho) into X(tau), an exact dyadic float."""
 
     rho: Resolution
     tau: Resolution
@@ -103,17 +89,19 @@ class CoresetPlan:
 
 
 def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
-    """Plan a coarsening; tau defaults to target_resolution, overrides are allowed.
+    """Plan a coarsening; tau defaults to tau_t = min(rho_t, tau_star), overrides are allowed.
 
-    An override below the target loses the epsilon guarantee; verification
-    still runs and simply reports what it finds.
+    At the default the coarse grid is an epsilon-coreset for every
+    weight-constrained clustering problem with at most k clusters.  An
+    override below it loses that guarantee; verification still runs and
+    simply reports what it finds.
     """
     rho = as_resolution(rho)
     tau_star = coarsening_exponent(k, epsilon)
-    tau = target_resolution(k, epsilon, rho) if tau is None else as_resolution(tau)
+    tau = as_resolution(tuple(min(e, tau_star) for e in rho.exponents) if tau is None else tau)
     return CoresetPlan(
         rho=rho, tau=tau, k=int(k), epsilon=float(_exact_epsilon(epsilon)),
-        tau_star=tau_star, delta=delta_offset(rho, tau),
+        tau_star=tau_star, delta=float(delta_offset_exact(rho, tau)),
     )
 
 
@@ -192,7 +180,7 @@ def verify_property_b(sites, instance: Instance,
 
     Solves the assignment LP at rho (fine) and at tau (coarse); the margin
     (1 + eps) * cost(X, S) - (cost(X(tau), S) + delta) is nonnegative, up to
-    PROPERTY_B_TOL, whenever tau came from target_resolution.
+    PROPERTY_B_TOL, whenever plan.tau is make_plan's default.
     """
     if instance.norms is not None:
         raise ValueError("the coreset guarantee is isotropic only")
@@ -212,15 +200,14 @@ class CoarseSolve:
     extended_cost: float
 
 
-def solve_coarse(instance: Instance, sites=None, plan: CoresetPlan | None = None) -> CoarseSolve:
+def solve_coarse(instance: Instance, sites=None, *, plan: CoresetPlan) -> CoarseSolve:
     """Solve at the coarse resolution (Euclidean costs) and lift the optimum.
 
     The lifted clustering is feasible for the fine problem; its cost under
     the instance norms (how anisotropic instances reuse the Euclidean
     machinery) is the coarse cost plus lift_offset, with no fine-grid pass.
+    The plan, and with it epsilon, is the caller's choice.
     """
-    if plan is None:
-        plan = make_plan(instance.k, instance.epsilon, instance.rho)
     sites = site_array(instance.sites if sites is None else sites, instance.k, instance.d)
     euclid = instance if instance.norms is None else Instance(
         k=instance.k, rho=instance.rho, kappa=instance.kappa, epsilon=instance.epsilon,
@@ -262,9 +249,6 @@ class SizeReport:
     axis_size: int              # 2^tau_star, points per unclamped axis
     axis_bound: float           # 2^(8/3) k / eps^(2/3)
     axis_bound_holds: bool      # checked exactly via cubes
-    coarse_points: int
-    fine_points: int
-    clamped: bool
     pencil_bound: Fraction      # k^2 / eps^(d+1)
     resolution_bound: float     # (k / eps^(2/3))^d
     advantage: Fraction | float  # pencil_bound / resolution_bound
@@ -295,9 +279,6 @@ def size_report(plan: CoresetPlan) -> SizeReport:
         axis_size=axis_size,
         axis_bound=axis_bound,
         axis_bound_holds=bool(holds),
-        coarse_points=plan.tau.n,
-        fine_points=plan.rho.n,
-        clamped=plan.clamped,
         pencil_bound=pencil,
         resolution_bound=res_bound,
         advantage=advantage,

@@ -12,6 +12,7 @@ so equality assertions downstream are legitimate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,12 +26,12 @@ MAX_TOTAL_EXPONENT = 48
 
 @dataclass(frozen=True)
 class Resolution:
-    """Per-axis dyadic exponents (rho_1, ..., rho_d); axis t has 2^{rho_t} points."""
+    """Per-axis integer exponents (rho_1, ..., rho_d); axis t has 2^{rho_t} points."""
 
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(operator.index(e) for e in self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 1:
             raise ValueError("resolution needs at least one axis")
@@ -69,8 +70,8 @@ def as_resolution(value) -> Resolution:
     if isinstance(value, Resolution):
         return value
     if isinstance(value, (int, np.integer)):
-        return Resolution((int(value),))
-    return Resolution(tuple(int(v) for v in value))
+        return Resolution((value,))
+    return Resolution(tuple(value))
 
 
 def _check_tau(rho: Resolution, tau: Resolution) -> None:

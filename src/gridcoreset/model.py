@@ -8,6 +8,7 @@ scaling exact and lets tests assert weight identities without tolerances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ import numpy as np
 
 from .grid import Resolution, as_resolution, coords_array, voxel_volume
 
-# Largest admissible power-of-two denominator for cluster weights.
-MAX_WEIGHT_BITS = 60
+# Largest admissible power-of-two denominator for cluster weights: the
+# float64 mantissa, so every weight, supply, flow and fraction is exact.
+MAX_WEIGHT_BITS = 53
 
 COLUMN_SUM_TOL = 1e-9
 CONSTRAINT_TOL = 1e-10
@@ -135,7 +137,7 @@ class Instance:
     def __post_init__(self):
         rho = as_resolution(self.rho)
         object.__setattr__(self, "rho", rho)
-        k = int(self.k)
+        k = operator.index(self.k)
         object.__setattr__(self, "k", k)
         if k < 1:
             raise ValueError(f"cluster count must be >= 1, got {k}")
@@ -188,7 +190,8 @@ class Instance:
 class Clustering:
     """Sparse fractional assignment: entries (i, j, xi_ij) with unit column sums.
 
-    Entries are kept sorted by (cluster, point) in read-only copies of the inputs.
+    Entries are kept sorted by (cluster, point) in read-only copies of the
+    inputs; k, n and the indices must be integers.
     """
 
     k: int
@@ -198,8 +201,12 @@ class Clustering:
     vals: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.int64).ravel()
-        cols = np.array(self.cols, dtype=np.int64).ravel()
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "n", operator.index(self.n))
+        rows, cols = (np.array(a).ravel() for a in (self.rows, self.cols))
+        if any(a.size and a.dtype.kind not in "iu" for a in (rows, cols)):
+            raise TypeError("cluster and point indices must be integers")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
         vals = np.array(self.vals, dtype=np.float64).ravel()
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols, vals must have equal length")
@@ -228,16 +235,12 @@ class Clustering:
     @classmethod
     def from_entries(cls, k: int, n: int, entries) -> "Clustering":
         entries = list(entries)
-        rows = [e[0] for e in entries]
-        cols = [e[1] for e in entries]
-        vals = [e[2] for e in entries]
-        return cls(k=k, n=n, rows=np.array(rows, dtype=np.int64),
-                   cols=np.array(cols, dtype=np.int64),
-                   vals=np.array(vals, dtype=np.float64))
+        return cls(k=k, n=n, rows=[e[0] for e in entries], cols=[e[1] for e in entries],
+                   vals=[e[2] for e in entries])
 
     @classmethod
     def from_labels(cls, k: int, labels) -> "Clustering":
-        labels = np.asarray(labels, dtype=np.int64).ravel()
+        labels = np.asarray(labels).ravel()
         n = labels.size
         return cls(k=k, n=n, rows=labels, cols=np.arange(n, dtype=np.int64),
                    vals=np.ones(n, dtype=np.float64))
@@ -253,9 +256,6 @@ class Clustering:
         mat = np.zeros((self.k, self.n), dtype=np.float64)
         mat[self.rows, self.cols] = self.vals
         return mat
-
-    def is_integer(self) -> bool:
-        return bool(np.all(self.vals == 1.0))
 
     def fractional_count(self) -> int:
         return int(np.count_nonzero(self.vals < 1.0))
@@ -323,7 +323,3 @@ def centroids(C: Clustering, rho) -> np.ndarray:
         out[i] = nu * (C.vals[sl] @ pts[C.cols[sl]]) / w[i]
     return out
 
-
-def cost_centroid(C: Clustering, rho, norms: NormFamily | None = None) -> float:
-    """Cost at the cluster centroids; minimal over all site choices per cluster."""
-    return cost_sites(C, centroids(C, rho), rho, norms)

@@ -378,7 +378,6 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
     arcs, flows = arcs[order], flows[order]
     clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
                             vals=flows / float(problem.supply))
-    fractional = int(np.count_nonzero(flows < problem.supply))
 
     # Objective, dual objective and duals mu_i = pi_1 - pi_i: in integers
     # scaled by 4^-cost_bits on the exact path, in float64 otherwise.
@@ -400,7 +399,7 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
         clustering=clustering,
         objective=objective,
         duals=tuple(float(v * scale) for v in mu),
-        fractional_count=fractional,
+        fractional_count=clustering.fractional_count(),
         resolution=problem.resolution,
         dual_objective=dual_objective,
         pivots=pivots + p,

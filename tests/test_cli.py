@@ -1,10 +1,12 @@
 """Command-line surface: files, determinism, exit codes, report schema."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,16 +147,32 @@ def test_verify_deterministic_csv(tmp_path):
     assert header == ",".join(CSV_FIELDS)
 
 
-def test_verify_violation_exits_3(tmp_path, capsys):
+# property_b fails for real at tau = 0; the other checks are made to fail.
+@pytest.mark.parametrize("check, fake", [
+    ("property_a", ("verify_property_a", lambda *a: (1.0, 0.0))),
+    ("property_b", None),
+    ("compatibility", ("check_compatibility",
+                       lambda *a: SimpleNamespace(compatible=False, worst_violation=1.0))),
+    ("transfer", ("transfer_bound", lambda *a: 0.5)),
+], ids=["property_a", "property_b", "compatibility", "transfer"])
+def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake):
     path = tmp_path / "a,b.json"  # the stderr row quotes fields as the report does
-    path.write_text(GOLDEN.read_text())
-    code = main(["verify", str(path), "--tau", "0", "--trials", "5", "--seed", "0"])
+    if check == "transfer":
+        main(["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--seed", "3",
+              "--anisotropy", "1,5", "--out", str(path)])
+    else:
+        path.write_text(GOLDEN.read_text())
+    if fake is not None:
+        monkeypatch.setattr(cli, *fake)
+    tau = ["--tau", "0"] if check == "property_b" else []
+    code = main(["verify", str(path), *tau, "--trials", "5", "--seed", "0"])
     assert code == 3
     (fields,) = csv.reader(capsys.readouterr().err.splitlines())
     assert len(fields) == len(CSV_FIELDS)
     assert fields[CSV_FIELDS.index("instance_id")] == "a,b"
-    assert fields[CSV_FIELDS.index("check")] == "property_b"
-    assert float(fields[CSV_FIELDS.index("margin")]) < -1e-9
+    assert fields[CSV_FIELDS.index("check")] == check
+    if check in ("property_b", "transfer"):
+        assert float(fields[CSV_FIELDS.index("margin")]) < -1e-9
 
 
 def test_verify_anisotropic_transfer(tmp_path):
@@ -178,12 +196,17 @@ def test_single_cluster_verify_passes(tmp_path):
         assert main(["verify", str(inst_path), "--trials", "3"]) == 0
 
 
-def test_bench_schema(tmp_path):
+def test_bench_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    assert main(["bench", str(GOLDEN), "--trials", "2", "--seed", "1",
-                 "--out", str(out)]) == 0
+    args = ["bench", str(GOLDEN), "--trials", "2", "--seed", "1"]
+    assert main(args + ["--out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 4  # full + coarse per trial
+    capsys.readouterr()
+    assert main(args) == 0  # without --out the report goes to stdout
+    header, *data = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == CSV_FIELDS and len(data) == 4
+    assert [r[CSV_FIELDS.index("resolution")] for r in data] == [r["resolution"] for r in rows]
     fine, coarse = rows[0], rows[1]
     assert fine["resolution"] == "3" and fine["wall_time_s"] != ""
     assert coarse["speedup"] != "" and coarse["delta"] != ""
@@ -227,8 +250,15 @@ def _golden_with(**fields):
     _golden_with(epsilon=None),
     _golden_with(kappa=[[3, 0], [1, 4]]),
     _golden_with(matrices=[[[float("nan")]], [[1.0]]]),
+    _golden_with(rho=[3.9]),
+    _golden_with(k=2.7),
+    _golden_with(k=2.0),
+    _golden_with(d=1.5),
+    _golden_with(kappa=[[2.5, 4], [2, 4]]),
+    _golden_with(kappa=[[2**53 + 1, 2**54], [2**53 - 1, 2**54]]),
 ], ids=["list", "string", "k-null", "kappa-number", "rho-null", "epsilon-null",
-        "kappa-over-0", "matrix-nan"])
+        "kappa-over-0", "matrix-nan", "rho-float", "k-float", "k-integral-float",
+        "d-float", "kappa-float-pair", "kappa-54-bits"])
 def test_malformed_instance_files_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))  # Python's json writes and reads NaN

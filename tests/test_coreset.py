@@ -13,7 +13,6 @@ from gridcoreset.coreset import (
     PROPERTY_B_TOL,
     CoresetPlan,
     coarsening_exponent,
-    delta_offset,
     delta_offset_exact,
     extend,
     lift_offset,
@@ -21,7 +20,6 @@ from gridcoreset.coreset import (
     restrict,
     size_report,
     solve_coarse,
-    target_resolution,
     transfer_bound,
     verify_property_a,
     verify_property_b,
@@ -65,17 +63,18 @@ def test_coarsening_exponent_validation():
 
 
 def test_target_resolution_clamps_per_axis():
-    assert target_resolution(4, 0.5, (3, 6)).exponents == (3, 5)
-    assert target_resolution(2, 0.5, (8,)).exponents == (4,)
-    assert target_resolution(2, 0.5, (2,)).exponents == (2,)
+    assert make_plan(4, 0.5, (3, 6)).tau.exponents == (3, 5)
+    assert make_plan(2, 0.5, (8,)).tau.exponents == (4,)
+    assert make_plan(2, 0.5, (2,)).tau.exponents == (2,)
 
 
 def test_delta_frozen():
-    assert delta_offset((3,), (1,)) == 0.01953125
-    assert delta_offset((3, 3), (1, 1)) == 0.0390625
-    assert delta_offset((3, 3), (3, 3)) == 0.0
+    assert float(delta_offset_exact((3,), (1,))) == 0.01953125
+    assert float(delta_offset_exact((3, 3), (1, 1))) == 0.0390625
+    assert make_plan(2, 0.5, (3, 3), tau=(1, 1)).delta == 0.0390625
+    assert float(delta_offset_exact((3, 3), (3, 3))) == 0.0
     with pytest.raises(ValueError):
-        delta_offset((2,), (3,))
+        delta_offset_exact((2,), (3,))
 
 
 small_rho = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
@@ -323,12 +322,13 @@ def test_transfer_bound_frozen():
 
 
 def test_size_report_frozen_small():
-    rep = size_report(make_plan(4, 0.5, (8,)))
+    plan = make_plan(4, 0.5, (8,))
+    rep = size_report(plan)
     assert rep.axis_size == 32
     assert rep.axis_bound_holds
     assert abs(rep.axis_bound - 40.317) <= 0.001
-    assert not rep.clamped
-    assert rep.coarse_points == 32 and rep.fine_points == 256
+    assert not plan.clamped
+    assert plan.tau.n == 32 and plan.rho.n == 256
 
 
 def test_size_report_frozen_large():

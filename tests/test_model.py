@@ -15,11 +15,11 @@ from gridcoreset.model import (
     centroids,
     check_constraints,
     cluster_weights,
-    cost_centroid,
     cost_sites,
     site_array,
     sq_dists,
 )
+from gridcoreset.solver import solve_assignment
 
 from exact_refs import clustering_entries, exact_cost, exact_sq_norm, site_fractions
 
@@ -72,7 +72,7 @@ def test_centroids_frozen():
     C = Clustering.from_labels(2, [0, 0, 1, 1])
     cent = centroids(C, (2,))
     assert tuple(cent.ravel()) == (0.25, 0.75)
-    assert cost_centroid(C, (2,)) == 0.015625
+    assert cost_sites(C, cent, (2,)) == 0.015625
 
 
 def test_eigen_bounds_frozen():
@@ -102,6 +102,26 @@ def test_instance_validation():
         Instance(k=2, rho=(2,), kappa=(0.5, 0.5), epsilon=0.6)
     with pytest.raises(ValueError):
         Instance(k=2, rho=(2,), kappa=(0.5, 0.5), epsilon=0.0)
+    with pytest.raises(TypeError):
+        Instance(k=2.7, rho=(2,), kappa=(0.5, 0.5))  # not truncated to 2
+    with pytest.raises(TypeError):
+        Instance(k=2, rho=(3.9,), kappa=(0.5, 0.5))  # not truncated to (3,)
+    with pytest.raises(TypeError):
+        Instance(k=2.0, rho=(2,), kappa=(0.5, 0.5))  # integral floats too
+
+
+def test_weight_bits_cap_at_float64_mantissa():
+    # Past 2^-53 a weight, flow or fraction would round in float64.
+    tiny = Fraction(1, 2**54)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        Instance(k=2, rho=(3,), kappa=(Fraction(1, 2) + tiny, Fraction(1, 2) - tiny))
+    tiny = Fraction(1, 2**53)
+    kappa = (Fraction(1, 2) + tiny, Fraction(1, 2) - tiny)
+    inst = Instance(k=2, rho=(3,), kappa=kappa, sites=[[0.25], [0.75]])
+    res = solve_assignment(inst)
+    assert res.exact and res.fractional_count == res.clustering.fractional_count() == 2
+    assert tuple(cluster_weights(res.clustering, (3,))) == inst.kappa
+    assert tuple(map(Fraction, inst.kappa)) == kappa
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -156,6 +176,12 @@ def test_clustering_validation():
         Clustering.from_entries(1, 1, [(0, 0, -1.0), (0, 0, 2.0)])
     with pytest.raises(ValueError):
         Clustering.from_entries(2, 1, [(2, 0, 1.0)])  # row out of range
+    with pytest.raises(TypeError):  # float indices are not truncated
+        Clustering(k=2, n=2, rows=[0.7, 1.2], cols=[0, 1.9], vals=[1, 1])
+    with pytest.raises(TypeError):
+        Clustering.from_labels(2, [0.0, 1.0])
+    with pytest.raises(TypeError):
+        Clustering(k=2, n=2.0, rows=[0, 1], cols=[0, 1], vals=[1, 1])
 
 
 def test_clustering_sorts_only_unsorted_input():
@@ -187,9 +213,8 @@ def test_clustering_roundtrip_and_flags():
     dense = C.to_dense()
     assert dense.shape == (2, 2)
     assert Clustering.from_dense(dense).to_dense().tolist() == dense.tolist()
-    assert not C.is_integer()
     assert C.fractional_count() == 2
-    assert Clustering.from_labels(2, [0, 1]).is_integer()
+    assert Clustering.from_labels(2, [0, 1]).fractional_count() == 0
     sl = C.cluster_slices()
     assert [float(np.sum(C.vals[s])) for s in sl] == [1.5, 0.5]
 
@@ -316,9 +341,7 @@ def test_centroid_minimizes_cost(rho, k, data):
     n = as_resolution(rho).n
     C = data.draw(random_clustering(n, k), label="C")
     assume(np.all(cluster_weights(C, rho) > 0))
-    best = cost_centroid(C, rho)
-    cent = centroids(C, rho)
-    assert abs(cost_sites(C, cent, rho) - best) <= 1e-12 * (1 + best)
+    best = cost_sites(C, centroids(C, rho), rho)
     d = len(rho)
     for _ in range(5):
         alt = np.array(

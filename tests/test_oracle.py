@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoreset.model import Instance, cost_centroid, Clustering
+from gridcoreset.model import Instance, Clustering, centroids, cost_sites
 from gridcoreset.oracle import (
     MAX_BRUTE_CLUSTERS,
     MAX_BRUTE_POINTS,
@@ -81,7 +81,7 @@ def test_opt1d_matches_its_own_intervals(rho, data):
     res = opt1d_dp(rho, k)
     labels = np.repeat(np.arange(k), res.sizes)
     C = Clustering.from_labels(k, labels)
-    assert abs(cost_centroid(C, (rho,)) - res.cost) <= 1e-15
+    assert abs(cost_sites(C, centroids(C, (rho,)), (rho,)) - res.cost) <= 1e-15
 
 
 def test_opt1d_tie_break_shorter_first():

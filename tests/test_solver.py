@@ -39,7 +39,7 @@ def pair_instance(kappa):
 def test_balanced_pair_frozen():
     res = solve_assignment(pair_instance((0.5, 0.5)))
     assert abs(res.objective - 0.0125) <= 1e-15
-    assert res.clustering.is_integer()
+    assert res.clustering.fractional_count() == 0
     assert res.clustering.to_dense().tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert res.duals[0] == 0.0
 
@@ -62,7 +62,7 @@ def test_single_cluster_direct_sum():
     nu = float(voxel_volume(rho))
     direct = nu * float(np.sum((pts[:, 0] - 0.3) ** 2))
     assert abs(res.objective - direct) <= 1e-15
-    assert res.clustering.is_integer()
+    assert res.clustering.fractional_count() == 0
     assert res.fractional_count == 0
 
 
@@ -232,7 +232,7 @@ def test_integer_optimum_on_grid_weights():
     for _ in range(100):
         inst = random_instance(rng, on_grid=True, max_exp=4, max_k=5)
         res = solve_assignment(inst)
-        assert res.clustering.is_integer()
+        assert res.clustering.fractional_count() == 0
         assert res.fractional_count == 0
 
 
