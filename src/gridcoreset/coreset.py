@@ -11,6 +11,7 @@ lift_offset; the guarantee reaches them through transfer_bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,10 +98,11 @@ def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
     simply reports what it finds.
     """
     rho = as_resolution(rho)
+    k = operator.index(k)
     tau_star = coarsening_exponent(k, epsilon)
     tau = as_resolution(tuple(min(e, tau_star) for e in rho.exponents) if tau is None else tau)
     return CoresetPlan(
-        rho=rho, tau=tau, k=int(k), epsilon=float(_exact_epsilon(epsilon)),
+        rho=rho, tau=tau, k=k, epsilon=float(_exact_epsilon(epsilon)),
         tau_star=tau_star, delta=float(delta_offset_exact(rho, tau)),
     )
 

@@ -231,14 +231,18 @@ def _network_simplex(problem: TransportProblem, mu=0):
       the clusters and at most k-1 split points.
 
     Potentials satisfy pi[root] = 0 and zero reduced cost on basic arcs.
-    Core potentials come from a walk over the core after every pivot; every
-    pivot changes the core, because under strong feasibility the entering
-    point's own leaf arc is never the leaving arc.  owner[j] of a split
-    point is its core parent, so every point potential is
-    pi_cl[owner[j]] + C[owner[j], j], one vector op ahead of pricing.
+    The core tree (parents up, children kids, potentials pot) is built once
+    and updated in place: a pivot reverses the parent arcs from the entering
+    arc's end inside the subtree that the leaving arc cuts off up to that
+    arc, and recomputes potentials top-down in that subtree only, by the same
+    parent-plus-or-minus-cost recurrence, so each stays the same sum along
+    its root path.  owner[j] of a split point is its core parent, and
+    own[j] = C[owner[j], j] changes only with it, so every point potential
+    is pi_cl[owner] + own, one vector op ahead of pricing.
 
-    Returns (owner, split, pi_cl, pivots), where split maps every real core
-    arc i*n + j with positive flow to that flow.
+    Returns the final basis and its duals as (owner, core, pi_cl, pivots);
+    core maps every core arc, artificial and zero-flow ones included, to its
+    flow.
     """
     C2 = problem.costs
     cost = C2.item                                 # Python scalar of a flat arc index
@@ -250,41 +254,43 @@ def _network_simplex(problem: TransportProblem, mu=0):
     INF = 1 << 62
 
     owner, core = _greedy_start(C2 - np.reshape(mu, (-1, 1)), supply, problem.demands)
+    own = C2[owner, cols]                          # C[owner[j], j]
     pi_cl = np.zeros(k, dtype=C2.dtype)
+    up, kids, pot = {root: (-1, -1)}, defaultdict(set), {root: 0}
 
-    def walk():
-        # Core parents (node -> (parent, arc)) and potentials, from the root.
-        nbrs = defaultdict(list)
-        for arc in core:
-            u, v = (root, arc - e + n) if arc >= e else (n + arc // n, arc % n)
-            nbrs[u].append((v, arc))
-            nbrs[v].append((u, arc))
-        up = {root: (-1, -1)}
-        pot = {root: 0}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, arc in nbrs[u]:
-                if v in up:
-                    continue
-                up[v] = (u, arc)
-                if arc >= e:
-                    pot[v] = pot[u]
-                elif v >= n:
-                    pot[v] = pot[u] - cost(arc)    # cluster below its split point
-                else:
-                    pot[v] = pot[u] + cost(arc)    # split point below a cluster
-                    owner[v] = u - n
+    def link(v, u, arc):
+        up[v] = (u, arc)
+        kids[u].add(v)
+
+    def price(v):
+        # Potential of v from its core parent's.
+        u, arc = up[v]
+        if arc >= e:
+            pot[v] = pot[u]
+        elif v >= n:
+            pot[v] = pot[u] - cost(arc)            # cluster below its split point
+        else:
+            pot[v] = pot[u] + cost(arc)            # split point below a cluster
+            owner[v], own[v] = u - n, cost(arc)
+        if v >= n:
+            pi_cl[v - n] = pot[v]
+
+    nbrs = defaultdict(list)
+    for arc in core:
+        u, v = (root, arc - e + n) if arc >= e else (n + arc // n, arc % n)
+        nbrs[u].append((v, arc))
+        nbrs[v].append((u, arc))
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v, arc in nbrs[u]:
+            if v not in up:
+                link(v, u, arc)
+                price(v)
                 stack.append(v)
-        pi_cl[:] = [pot[v] for v in range(n, root)]
-        return up
 
     def to_root(v):
         nodes, arcs = [v], []
-        if v not in up:                            # leaf point
-            arcs.append(int(owner[v]) * n + v)
-            v = n + int(owner[v])
-            nodes.append(v)
         while v != root:
             v, arc = up[v]
             nodes.append(v)
@@ -294,7 +300,6 @@ def _network_simplex(problem: TransportProblem, mu=0):
     def tail(arc):
         return arc % n if arc < e else n + arc - e
 
-    up = walk()
     tol = 0 if problem.exact else ENTER_TOL * max(1.0, float(problem.costs.max(initial=0.0)))
     rc = np.empty((k, n), dtype=C2.dtype)
     pivots = 0
@@ -303,7 +308,7 @@ def _network_simplex(problem: TransportProblem, mu=0):
     while True:
         # Pricing: Dantzig, or Bland (lowest eligible arc) after a long
         # degenerate streak.
-        np.subtract(pi_cl[:, None], (pi_cl[owner] + C2[owner, cols])[None, :], out=rc)
+        np.subtract(pi_cl[:, None], (pi_cl[owner] + own)[None, :], out=rc)
         np.add(rc, C2, out=rc)
         flat = rc.ravel()
         a = int(np.argmax(flat < -tol) if degenerate_streak >= _BLAND_AFTER else np.argmin(flat))
@@ -314,6 +319,11 @@ def _network_simplex(problem: TransportProblem, mu=0):
             raise PivotLimitError(f"network simplex exceeded {max_pivots} pivots; "
                                   "this indicates a bug, please report it")
         i, j = divmod(a, n)
+        if j not in up:                            # j's leaf arc joins the core
+            leaf = int(owner[j]) * n + j
+            core[leaf] = supply
+            link(j, n + leaf // n, leaf)
+            price(j)
         # Cycle of the entering arc, as (arc, node it is traversed from), from
         # the apex down to j, across a, and from cluster i back up.
         pn, pa = to_root(j)
@@ -321,8 +331,6 @@ def _network_simplex(problem: TransportProblem, mu=0):
         while len(pn) > 1 and len(qn) > 1 and pn[-2] == qn[-2]:
             del pn[-1], pa[-1], qn[-1], qa[-1]
         cycle = [*zip(reversed(pa), reversed(pn[1:])), (a, j), *zip(qa, qn)]
-        if j not in up:
-            core[pa[0]] = supply                   # j's leaf arc joins the core
         core[a] = 0
         # Leaving arc: minimum residual, the last such arc from the apex (keeps
         # the tree strongly feasible, which prevents cycling).  Only arcs
@@ -336,15 +344,25 @@ def _network_simplex(problem: TransportProblem, mu=0):
             for arc, node in cycle:
                 core[arc] += delta if tail(arc) == node else -delta
         del core[out]
-        if out < e:
-            rest = [arc for arc in core if arc < e and arc % n == out % n]
-            if len(rest) == 1:                     # its point is a leaf again
-                owner[out % n] = rest[0] // n
-                del core[rest[0]]
-        up = walk()
+        # Re-hang the subtree that out cuts off: reverse the parent arcs from
+        # a's end inside it up to out, then re-price the subtree top-down.
+        v, u, arc = (j, n + i, a) if out in pa else (n + i, j, a)
+        stack = [v]
+        while arc != out:
+            w, up_arc = up[v]
+            kids[w].discard(v)
+            link(v, u, arc)
+            v, u, arc = w, v, up_arc
+        while stack:
+            v = stack.pop()
+            price(v)
+            stack.extend(kids[v])
+        if out < e and not kids[out % n]:          # its point is a leaf again
+            w, arc = up.pop(out % n)
+            kids[w].discard(out % n)
+            del core[arc]
 
-    split = {arc: f for arc, f in core.items() if arc < e and f > 0}
-    return owner, split, pi_cl, pivots
+    return owner, core, pi_cl, pivots
 
 
 def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
@@ -365,12 +383,14 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
         level = tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps)
         *_, pi_cl, p = _network_simplex(build_transport(instance, level, sites), mu)
         mu, pivots = -pi_cl, pivots + p
-    owner, split, pi_cl, p = _network_simplex(problem, mu)
+    owner, core, pi_cl, p = _network_simplex(problem, mu)
     k, n = problem.k, problem.n
     cols = np.arange(n)
 
-    # Support: every leaf at full supply plus the split arcs, in arc order.
-    split_arcs, split_flows = np.array(list(split.items()), dtype=np.int64).reshape(-1, 2).T
+    # Support: every leaf at full supply plus the split arcs with positive
+    # flow, in arc order.
+    split = [(arc, f) for arc, f in core.items() if arc < k * n and f > 0]
+    split_arcs, split_flows = np.array(split, dtype=np.int64).reshape(-1, 2).T
     leaf = np.isin(cols, split_arcs % n, invert=True)
     arcs = np.append(owner[leaf] * n + cols[leaf], split_arcs)
     flows = np.append(np.full(np.count_nonzero(leaf), problem.supply, dtype=np.int64), split_flows)

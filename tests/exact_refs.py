@@ -172,3 +172,37 @@ def argsort_extend(C_tilde, plan):
     by_cell = np.argsort(m, kind="stable").reshape(plan.tau.n, batch)
     return Clustering(k=C_tilde.k, n=plan.rho.n, rows=np.repeat(C_tilde.rows, batch),
                       cols=by_cell[C_tilde.cols].ravel(), vals=np.repeat(C_tilde.vals, batch))
+
+
+def basis_potentials(costs, owner, core):
+    """Cluster potentials of a final simplex basis, rebuilt from scratch.
+
+    The basis is the leaf arc (owner[j], j) of every point without a core
+    arc plus the core arcs: real arc i*n + j (point j -> cluster i, cost
+    costs[i, j]) and artificial arc k*n + i (cluster i -> root, cost 0).
+    Asserts that these arcs span the n + k + 1 nodes as a tree, then solves
+    pi[root] = 0 and pi_j = pi_i + c_ij on every basic arc by a search from
+    the root, in Fractions.  Float costs round to float64 after every step,
+    as float64 addition does, so the result is bit-exact on both paths.
+    """
+    k, n = costs.shape
+    e, root = k * n, n + k
+    rnd = (lambda x: x) if costs.dtype == np.int64 else (lambda x: Fraction(float(x)))
+    in_core = {arc % n for arc in core if arc < e}
+    arcs = [int(owner[j]) * n + j for j in range(n) if j not in in_core] + list(core)
+    adj = {v: [] for v in range(root + 1)}
+    for arc in arcs:
+        u, v = (root, n + arc - e) if arc >= e else (n + arc // n, arc % n)
+        adj[u].append((v, arc))
+        adj[v].append((u, arc))
+    pi = {root: Fraction(0)}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v, arc in adj[u]:
+            if v not in pi:
+                c = 0 if arc >= e else Fraction(costs.item(arc))
+                pi[v] = rnd(pi[u] + c if v < n else pi[u] - c)
+                stack.append(v)
+    assert len(arcs) == n + k and len(pi) == root + 1, "basis is not a spanning tree"
+    return [pi[n + i] for i in range(k)]

@@ -137,7 +137,9 @@ def test_verify_deterministic_csv(tmp_path):
     args = ["verify", str(GOLDEN), "--trials", "3", "--seed", "4"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # Byte-stable across commits, not only between two runs.
+    golden = FIXTURES / "verify" / "gen_d1_rho3_k2_seed0_trials3_seed4.csv"
+    assert a.read_bytes() == b.read_bytes() == golden.read_bytes()
     rows = list(csv.DictReader(a.open()))
     assert set(r["check"] for r in rows) == {
         "property_a", "property_b", "compatibility"}

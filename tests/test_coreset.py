@@ -68,6 +68,12 @@ def test_target_resolution_clamps_per_axis():
     assert make_plan(2, 0.5, (2,)).tau.exponents == (2,)
 
 
+@pytest.mark.parametrize("k", [2.7, 2.0])
+def test_make_plan_rejects_non_integer_k(k):
+    with pytest.raises(TypeError):
+        make_plan(k, 0.5, (8,))
+
+
 def test_delta_frozen():
     assert float(delta_offset_exact((3,), (1,))) == 0.01953125
     assert float(delta_offset_exact((3, 3), (1, 1))) == 0.0390625

@@ -28,8 +28,8 @@ from gridcoreset.solver import (
     solve_assignment,
 )
 
-from exact_refs import (clustering_entries, exact_cost, exact_dual_bound, exact_volume,
-                        site_fractions)
+from exact_refs import (basis_potentials, clustering_entries, exact_cost, exact_dual_bound,
+                        exact_volume, site_fractions)
 
 
 def pair_instance(kappa):
@@ -362,6 +362,75 @@ def test_bland_pricing_matches_dantzig(monkeypatch):
         assert report.compatible, report.worst_violation
         if res.exact:
             assert res.objective == res.dual_objective
+
+
+def assert_basis_potentials(inst):
+    # The in-place core tree against a rebuild of the final basis; a cold
+    # start makes the most pivots.
+    problem = build_transport(inst)
+    owner, core, pi_cl, _ = solver._network_simplex(problem)
+    assert basis_potentials(problem.costs, owner, core) == pi_cl.tolist()
+
+
+def test_basis_potentials_on_fixtures():
+    for inst in _fixture_instances():
+        assert_basis_potentials(inst)
+
+
+def test_basis_potentials_under_bland(monkeypatch):
+    monkeypatch.setattr(solver, "_BLAND_AFTER", 0)
+    for inst in _fixture_instances():
+        assert_basis_potentials(inst)
+
+
+@given(degenerate_instances(max_bits=8, anisotropic=True))
+@settings(max_examples=100, deadline=None)
+def test_basis_potentials(case):
+    assert_basis_potentials(case[0])
+
+
+def solve_fine_instance(exps, k, dyadic, seed):
+    """An n = 1024 instance shaped like the benchmark's solve_fine items:
+    weights are the cell counts of a random power diagram on the grid, sites
+    are uniform in the unit cube, dyadic ones snapped to 2^-10."""
+    rng = np.random.default_rng(seed)
+    pts = coords_array(as_resolution(exps))
+    while True:
+        centres = rng.uniform(size=(k, len(exps)))
+        offsets = rng.uniform(0.0, 0.25 * k ** (-2 / len(exps)), size=(k, 1))
+        power = ((pts - centres[:, None]) ** 2).sum(axis=2) + offsets
+        counts = np.bincount(np.argmin(power, axis=0), minlength=k)
+        if counts.all():
+            break
+    sites = rng.uniform(size=(k, len(exps)))
+    if dyadic:
+        sites = np.floor(sites * 1024) / 1024
+    return Instance(k=k, rho=exps, kappa=tuple(counts / 1024), sites=sites)
+
+
+# (exps, k, dyadic, seed): (pivots, objective, dual_objective), recorded
+# before the core tree was updated in place; the pivot path must not move.
+PINNED_SOLVES = {
+    ((10,), 3, True, 0): (11, 0.0720367431640625, 0.0720367431640625),
+    ((10,), 3, False, 1): (9, 0.03240334967426215, 0.03240334967426215),
+    ((10,), 8, True, 2): (41, 0.010015394538640976, 0.010015394538640976),
+    ((10,), 8, False, 3): (51, 0.010150895585815532, 0.010150895585815535),
+    ((5, 5), 3, True, 4): (31, 0.31235381588339806, 0.31235381588339806),
+    ((5, 5), 3, False, 5): (31, 0.15874391257630632, 0.1587439125763063),
+    ((5, 5), 8, True, 6): (128, 0.07124368287622929, 0.07124368287622929),
+    ((5, 5), 8, False, 7): (108, 0.07009523397639272, 0.07009523397639272),
+    ((4, 3, 3), 3, True, 8): (195, 0.25550625193864107, 0.25550625193864107),
+    ((4, 3, 3), 3, False, 9): (384, 0.3203151594596165, 0.32031515945961664),
+    ((4, 3, 3), 8, True, 10): (482, 0.1264917002990842, 0.1264917002990842),
+    ((4, 3, 3), 8, False, 11): (338, 0.17528057825619733, 0.17528057825619736),
+}
+
+
+@pytest.mark.parametrize("spec", PINNED_SOLVES, ids=str)
+def test_pinned_pivot_path(spec):
+    res = solve_assignment(solve_fine_instance(*spec))
+    assert res.exact is spec[2]
+    assert (res.pivots, res.objective, res.dual_objective) == PINNED_SOLVES[spec]
 
 
 def _solve_with_ladder_base(inst, base):
