@@ -175,7 +175,7 @@ def argsort_extend(C_tilde, plan):
 
 
 def basis_potentials(costs, owner, core):
-    """Cluster potentials of a final simplex basis, rebuilt from scratch.
+    """Cluster potentials of a final simplex basis, rebuilt independently.
 
     The basis is the leaf arc (owner[j], j) of every point without a core
     arc plus the core arcs: real arc i*n + j (point j -> cluster i, cost
