@@ -14,9 +14,8 @@ from .model import (Clustering, Instance, NormFamily, centroids,
 from .solver import (AlternateOutcome, SolveResult, TransportProblem,
                      alternate_minimize, build_transport, solve_assignment)
 from .coreset import (CoarseSolve, CoresetPlan, SizeReport, coarsening_exponent,
-                      delta_offset_exact, extend, make_plan, restrict, size_report,
-                      solve_coarse, transfer_bound, verify_property_a,
-                      verify_property_b)
+                      delta_offset_exact, extend, make_plan, size_report, solve_coarse,
+                      transfer_bound, verify_property_a, verify_property_b)
 from .diagrams import (CompatibilityReport, PowerDiagram, assign,
                        check_compatibility, from_duals)
 from .oracle import (BruteForceResult, Opt1DResult, brute_force_constrained,
@@ -32,7 +31,7 @@ __all__ = [
     "AlternateOutcome", "SolveResult", "TransportProblem",
     "alternate_minimize", "build_transport", "solve_assignment",
     "CoarseSolve", "CoresetPlan", "SizeReport", "coarsening_exponent",
-    "delta_offset_exact", "extend", "make_plan", "restrict", "size_report",
+    "delta_offset_exact", "extend", "make_plan", "size_report",
     "solve_coarse", "transfer_bound", "verify_property_a", "verify_property_b",
     "CompatibilityReport", "PowerDiagram", "assign", "check_compatibility",
     "from_duals",

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Resolution, as_resolution, batch_error_exact, merge_map
+from .grid import Resolution, as_resolution, batch_error_exact
 from .model import Clustering, Instance, NormFamily, cost_sites, site_array
 from .solver import SolveResult, solve_assignment
 
@@ -107,26 +107,10 @@ def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
     )
 
 
-def restrict(C: Clustering, plan: CoresetPlan) -> Clustering:
-    """Push a fine clustering down to X(tau) by averaging over each batch.
-
-    Preserves cluster weights exactly (nu(tau)/|B| = nu(rho)) and keeps
-    column sums at exactly 1; all values stay dyadic.
-    """
-    rho, tau = plan.rho, plan.tau
-    if C.n != rho.n:
-        raise ValueError(f"clustering has {C.n} points, grid has {rho.n}")
-    keys = C.rows * tau.n + merge_map(rho, tau)[C.cols]
-    sums = np.bincount(keys, weights=C.vals, minlength=C.k * tau.n)
-    keys = np.flatnonzero(sums)
-    return Clustering(k=C.k, n=tau.n, rows=keys // tau.n, cols=keys % tau.n,
-                      vals=sums[keys] / (rho.n // tau.n))
-
-
 def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     """Lift a coarse clustering to X(rho): every point inherits its batch's fractions.
 
-    The section g of the merge map, so restrict(extend(C), plan) returns C.
+    The section g of the merge map: averaging the lift over each batch returns C.
     Fine points order as (c_0, r_0, c_1, r_1, ...) in coarse cell c and batch
     offset r, so a lifted entry's rank in its cluster sums coarse run counts
     over the axes; entries are scattered to their ranks, with no sort and no
@@ -141,7 +125,7 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     batch = rho.n // tau.n
     # Batch offsets run innermost, entries when batches are tiny: long numpy inner loops.
     ent, off = ((-1, 1), (1, -1)) if batch >= 8 else ((1, -1), (-1, 1))
-    base, fbase, rank, fine = np.arange(rows.size), 0, 0, 0  # per-entry, per-offset parts
+    base, fbase, fine, outer = np.arange(rows.size), 0, 0, []  # per-entry, per-offset parts
     q, s, f = batch, tau.n, rho.n  # fine points per batch, coarse and fine grid sizes
     for re, te in zip(rho.exponents, tau.exponents):
         r, s, f = 1 << (re - te), s >> te, f >> re
@@ -152,12 +136,22 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
             counts = np.diff(starts, append=key.size)
             base, q = base + (q - q // r) * np.repeat(starts, counts), q // r
             step = (np.arange(batch) // q % r).reshape(off)
-            rank, fine = rank + (q * np.repeat(counts, counts)).reshape(ent) * step, fine + step * f
-    rank = base.reshape(ent) + rank
+            outer.append(((q * np.repeat(counts, counts)).reshape(ent), step))
+            fine = fine + step * f
+    # rank = base + the outer products, built in place with one scratch buffer.
+    rank = np.multiply(*outer[0])
+    rank += base.reshape(ent)
+    tmp = np.empty_like(rank)
+    for per_entry, step in outer[1:]:
+        rank += np.multiply(per_entry, step, out=tmp)
     lifted, vals = np.empty(rank.size, dtype=np.int64), np.empty(rank.size)
-    lifted[rank.ravel()] = (fbase.reshape(ent) + fine).ravel()
-    vals[rank.ravel()] = np.broadcast_to(C_tilde.vals.reshape(ent), rank.shape).ravel()
-    return Clustering(k=C_tilde.k, n=rho.n, rows=np.repeat(rows, batch), cols=lifted, vals=vals)
+    lifted[rank] = np.add(fbase.reshape(ent), fine, out=tmp)
+    vals[rank] = C_tilde.vals.reshape(ent)
+    del rank, tmp
+    rows = np.repeat(rows, batch)
+    for arr in (rows, lifted, vals):  # read-only, so Clustering shares them
+        arr.setflags(write=False)
+    return Clustering(k=C_tilde.k, n=rho.n, rows=rows, cols=lifted, vals=vals)
 
 
 def verify_property_a(C_tilde: Clustering, sites, instance: Instance,

@@ -186,12 +186,19 @@ class Instance:
         return self.rho.d
 
 
+def _stored(a: np.ndarray, dtype) -> np.ndarray:
+    """a itself if it is a read-only 1-D array of dtype that owns its data, else a 1-D copy."""
+    shared = a.ndim == 1 and a.dtype == dtype and a.flags.owndata and not a.flags.writeable
+    return a if shared else a.ravel().astype(dtype)
+
+
 @dataclass(frozen=True)
 class Clustering:
     """Sparse fractional assignment: entries (i, j, xi_ij) with unit column sums.
 
-    Entries are kept sorted by (cluster, point) in read-only copies of the
-    inputs; k, n and the indices must be integers.
+    Entries are kept sorted by (cluster, point) in read-only arrays; k, n and
+    the indices must be integers.  A read-only 1-D int64 (indices) or float64
+    (fractions) input that owns its data is shared; others are copied.
     """
 
     k: int
@@ -203,34 +210,34 @@ class Clustering:
     def __post_init__(self):
         object.__setattr__(self, "k", operator.index(self.k))
         object.__setattr__(self, "n", operator.index(self.n))
-        rows, cols = (np.array(a).ravel() for a in (self.rows, self.cols))
+        rows, cols, vals = (np.asarray(a) for a in (self.rows, self.cols, self.vals))
         if any(a.size and a.dtype.kind not in "iu" for a in (rows, cols)):
             raise TypeError("cluster and point indices must be integers")
-        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
-        vals = np.array(self.vals, dtype=np.float64).ravel()
+        rows, cols = _stored(rows, np.int64), _stored(cols, np.int64)
+        vals = _stored(vals, np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols, vals must have equal length")
         if rows.size and (rows.min() < 0 or rows.max() >= self.k):
             raise ValueError("cluster index out of range")
         if cols.size and (cols.min() < 0 or cols.max() >= self.n):
             raise ValueError("point index out of range")
-        if np.any(vals <= 0.0) or np.any(vals > 1.0):
+        if vals.size and not (vals.min() > 0.0 and vals.max() <= 1.0):  # NaN fails too
             raise ValueError("assignment fractions must lie in (0, 1]")
-        keys = rows * self.n + cols
+        keys = rows * self.n
+        keys += cols
         if np.any(keys[1:] <= keys[:-1]):  # strictly increasing: sorted, no duplicates
             order = np.argsort(keys)
             rows, cols, vals = rows[order], cols[order], vals[order]
             if np.any(np.diff(keys[order]) == 0):
                 raise ValueError("duplicate (cluster, point) entries")
+        del keys  # freed before the n-long column sums: a lower peak on a lift
         sums = np.bincount(cols, weights=vals, minlength=self.n)
-        worst = float(np.max(np.abs(sums - 1.0))) if self.n else 0.0
+        worst = max(sums.max() - 1.0, 1.0 - sums.min()) if self.n else 0.0
         if worst > COLUMN_SUM_TOL:
             raise ValueError(f"column sums deviate from 1 by {worst:.3e}")
-        for arr in (rows, cols, vals):
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_entries(cls, k: int, n: int, entries) -> "Clustering":

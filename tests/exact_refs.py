@@ -3,7 +3,8 @@
 Everything here is computed from first principles with Fraction sums and
 brute-force enumeration, deliberately avoiding the package's own closed
 forms and vectorized identities.  Slow but exact; keep inputs small.
-argsort_extend is the one numpy reference, a lift by sorting.
+argsort_extend (a lift by sorting) and restrict (a batch average by
+bincount) are the numpy references for the package's extend.
 """
 
 from __future__ import annotations
@@ -159,6 +160,20 @@ def exact_dual_bound(rho, sites, kappa, duals, norms=None) -> Fraction:
             for i, site in enumerate(sites)
         )
     return total
+
+
+def restrict(C, plan):
+    """Push a fine clustering down to X(tau) by averaging over each batch.
+
+    The left inverse of extend, so restrict(extend(C), plan) must return C.
+    It keeps cluster weights and unit column sums exactly for dyadic values.
+    """
+    rho, tau = plan.rho, plan.tau
+    keys = C.rows * tau.n + merge_map(rho, tau)[C.cols]
+    sums = np.bincount(keys, weights=C.vals, minlength=C.k * tau.n)
+    keys = np.flatnonzero(sums)
+    return Clustering(k=C.k, n=tau.n, rows=keys // tau.n, cols=keys % tau.n,
+                      vals=sums[keys] / (rho.n // tau.n))
 
 
 def argsort_extend(C_tilde, plan):

@@ -1,6 +1,7 @@
 """Coarsening plans: offsets, restriction/extension, coreset inequalities."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcoreset import coreset
 from gridcoreset.coreset import (
     PROPERTY_A_TOL,
     PROPERTY_B_TOL,
@@ -17,7 +19,6 @@ from gridcoreset.coreset import (
     extend,
     lift_offset,
     make_plan,
-    restrict,
     size_report,
     solve_coarse,
     transfer_bound,
@@ -34,7 +35,7 @@ from gridcoreset.model import (
 )
 from gridcoreset.solver import solve_assignment
 
-from exact_refs import argsort_extend, exact_delta
+from exact_refs import argsort_extend, exact_delta, restrict
 
 
 def test_coarsening_exponent_frozen():
@@ -191,6 +192,58 @@ def test_extend_matches_argsort_reference(rho, data):
         new, ref = extend(C_tilde, plan), argsort_extend(C_tilde, plan)
         for a, b in ((new.rows, ref.rows), (new.cols, ref.cols), (new.vals, ref.vals)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rho, tau", [((10, 10), (5, 5)), ((15, 3, 2), (5, 3, 2)),
+                                      ((7, 7), (6, 6))])  # the last has batches of 4
+def test_extend_matches_argsort_reference_at_workload_scale(rho, tau):
+    plan = plan_for(rho, tau, k=4)
+    n = plan.tau.n
+    rng = np.random.default_rng(sum(rho))
+    dense = np.zeros((4, n))
+    dense[rng.integers(0, 4, n), np.arange(n)] = 1.0
+    for j in rng.choice(n, size=9, replace=False):  # split points, dyadic fractions
+        dense[:, j] = rng.permutation([0.5, 0.25, 0.25, 0.0] if j % 2 else [0.75, 0.25, 0, 0])
+    C_tilde = Clustering.from_dense(dense)
+    assert C_tilde.fractional_count() >= 2 * 9
+    new, ref = extend(C_tilde, plan), argsort_extend(C_tilde, plan)
+    for a, b in ((new.rows, ref.rows), (new.cols, ref.cols), (new.vals, ref.vals)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
+
+
+def test_extend_hands_its_outputs_to_the_clustering_uncopied(monkeypatch):
+    passed = {}
+
+    def spy(**fields):
+        passed.update(fields)
+        return Clustering(**fields)
+
+    monkeypatch.setattr(coreset, "Clustering", spy)
+    lifted = extend(Clustering.from_labels(2, [0, 1, 1, 0]), plan_for((3, 2), (1, 1)))
+    assert lifted.rows is passed["rows"] and lifted.cols is passed["cols"]
+    assert lifted.vals is passed["vals"]
+
+
+def test_extend_peak_memory():
+    # At its peak a lift holds about six fine-size arrays: the ranks and one
+    # scratch buffer, then the three outputs and Clustering's check, whose
+    # np.bincount copies read-only inputs.  A temporary per step and copied
+    # outputs make it eleven, well above the bound.
+    plan = plan_for((9, 9), (4, 4), k=4)
+    C_tilde = Clustering.from_labels(4, np.arange(plan.tau.n) % 4)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        extend(C_tilde, plan)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 7.5 * 8 * plan.rho.n
 
 
 @st.composite

@@ -176,6 +176,8 @@ def test_clustering_validation():
         Clustering.from_entries(1, 1, [(0, 0, -1.0), (0, 0, 2.0)])
     with pytest.raises(ValueError):
         Clustering.from_entries(2, 1, [(2, 0, 1.0)])  # row out of range
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):  # NaN fails every comparison
+        Clustering(k=1, n=1, rows=[0], cols=[0], vals=[float("nan")])
     with pytest.raises(TypeError):  # float indices are not truncated
         Clustering(k=2, n=2, rows=[0.7, 1.2], cols=[0, 1.9], vals=[1, 1])
     with pytest.raises(TypeError):
@@ -184,10 +186,14 @@ def test_clustering_validation():
         Clustering(k=2, n=2.0, rows=[0, 1], cols=[0, 1], vals=[1, 1])
 
 
-def test_clustering_sorts_only_unsorted_input():
+def sorted_entries():
     rows = np.array([0, 0, 1, 1, 2], dtype=np.int64)
     cols = np.array([0, 2, 1, 2, 3], dtype=np.int64)
-    vals = np.array([1.0, 0.5, 1.0, 0.5, 1.0])
+    return rows, cols, np.array([1.0, 0.5, 1.0, 0.5, 1.0])
+
+
+def test_clustering_sorts_only_unsorted_input():
+    rows, cols, vals = sorted_entries()
     ref = Clustering(k=3, n=4, rows=rows, cols=cols, vals=vals)
     # Sorted input is kept in read-only copies; the caller's arrays stay writable.
     assert all(a.flags.writeable and not b.flags.writeable and not np.shares_memory(a, b)
@@ -206,6 +212,52 @@ def test_clustering_sorts_only_unsorted_input():
     assert empty.rows.size == 0 and empty.rows.dtype == np.int64
     with pytest.raises(ValueError, match="column sums"):
         Clustering(k=2, n=3, rows=[], cols=[], vals=[])
+
+
+@pytest.mark.parametrize("which, bad, match", [
+    ("rows", 3, "cluster index"),
+    ("cols", -1, "point index"),
+    ("vals", 0.0, r"\(0, 1\]"),
+    ("vals", np.nextafter(1.0, 2.0), r"\(0, 1\]"),
+    ("vals", np.nan, r"\(0, 1\]"),
+    ("vals", 1.0 - 2e-9, "column sums"),
+])
+def test_clustering_rejects_a_bad_last_entry(which, bad, match):
+    entries = dict(zip(("rows", "cols", "vals"), sorted_entries()))
+    entries[which][-1] = bad
+    with pytest.raises(ValueError, match=match):
+        Clustering(k=3, n=4, **entries)
+
+
+def test_clustering_checks_the_tail():
+    rows, cols, vals = sorted_entries()
+    ref = Clustering(k=3, n=4, rows=rows, cols=cols, vals=vals)
+    vals[-1] = 1.0 - 5e-10  # within COLUMN_SUM_TOL
+    assert Clustering(k=3, n=4, rows=rows, cols=cols, vals=vals).vals[-1] == vals[-1]
+    vals[-1] = 1.0
+    tail = [0, 1, 2, 4, 3]  # only the last two entries out of order
+    swapped = Clustering(k=3, n=4, rows=rows[tail], cols=cols[tail], vals=vals[tail])
+    for a, b in ((swapped.rows, ref.rows), (swapped.cols, ref.cols), (swapped.vals, ref.vals)):
+        assert np.array_equal(a, b)
+    dup = [0, 1, 2, 3, 4, 4]  # the last entry repeated, still in order
+    with pytest.raises(ValueError, match="duplicate"):
+        Clustering(k=3, n=4, rows=rows[dup], cols=cols[dup], vals=np.append(vals[:4], [0.5, 0.5]))
+
+
+def test_clustering_shares_only_read_only_arrays_that_own_their_data():
+    rows, cols, vals = sorted_entries()
+    for a in (rows, cols, vals):
+        a.setflags(write=False)
+    C = Clustering(k=3, n=4, rows=rows, cols=cols, vals=vals)
+    assert C.rows is rows and C.cols is cols and C.vals is vals
+    # A view, another dtype or another shape is copied (writable input: see above).
+    views = (rows[:], cols.astype(np.int32), vals.reshape(1, -1))
+    for a in views:
+        a.setflags(write=False)
+    D = Clustering(k=3, n=4, rows=views[0], cols=views[1], vals=views[2])
+    for a, b in zip(views, (D.rows, D.cols, D.vals)):
+        assert not np.shares_memory(a, b) and not b.flags.writeable and b.ndim == 1
+    assert D.cols.dtype == np.int64
 
 
 def test_clustering_roundtrip_and_flags():
