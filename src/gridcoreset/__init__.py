@@ -8,16 +8,13 @@ optimality.  See the README for the command-line interface.
 
 from .grid import (Resolution, as_resolution, batch_error, batch_error_exact,
                    coords_array, merge_map, voxel_volume)
-from .model import (Clustering, Instance, NormFamily, centroids,
-                    check_constraints, cluster_weights, cost_sites,
+from .model import (Clustering, Instance, NormFamily, cluster_weights, cost_sites,
                     site_array, sq_dists)
-from .solver import (AlternateOutcome, SolveResult, TransportProblem,
-                     alternate_minimize, build_transport, solve_assignment)
+from .solver import SolveResult, TransportProblem, build_transport, solve_assignment
 from .coreset import (CoarseSolve, CoresetPlan, SizeReport, coarsening_exponent,
                       delta_offset_exact, extend, make_plan, size_report, solve_coarse,
                       transfer_bound, verify_property_a, verify_property_b)
-from .diagrams import (CompatibilityReport, PowerDiagram, assign,
-                       check_compatibility, from_duals)
+from .diagrams import CompatibilityReport, PowerDiagram, check_compatibility, from_duals
 from .oracle import (BruteForceResult, Opt1DResult, brute_force_constrained,
                      lower_bound_1d, opt1d_closed, opt1d_dp)
 
@@ -26,15 +23,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Resolution", "as_resolution", "batch_error", "batch_error_exact",
     "coords_array", "merge_map", "voxel_volume",
-    "Clustering", "Instance", "NormFamily", "centroids", "check_constraints",
-    "cluster_weights", "cost_sites", "site_array", "sq_dists",
-    "AlternateOutcome", "SolveResult", "TransportProblem",
-    "alternate_minimize", "build_transport", "solve_assignment",
+    "Clustering", "Instance", "NormFamily", "cluster_weights", "cost_sites",
+    "site_array", "sq_dists",
+    "SolveResult", "TransportProblem", "build_transport", "solve_assignment",
     "CoarseSolve", "CoresetPlan", "SizeReport", "coarsening_exponent",
     "delta_offset_exact", "extend", "make_plan", "size_report",
     "solve_coarse", "transfer_bound", "verify_property_a", "verify_property_b",
-    "CompatibilityReport", "PowerDiagram", "assign", "check_compatibility",
-    "from_duals",
+    "CompatibilityReport", "PowerDiagram", "check_compatibility", "from_duals",
     "BruteForceResult", "Opt1DResult", "brute_force_constrained",
     "lower_bound_1d", "opt1d_closed", "opt1d_dp",
     "__version__",

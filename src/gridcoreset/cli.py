@@ -49,15 +49,15 @@ def _kappa_to_json(instance: Instance) -> list:
     return [[u, 1 << instance.kappa_bits] for u in instance.kappa_units]
 
 
-def _kappa_from_json(values) -> list[Fraction]:
+def _kappa_from_json(values) -> list:
+    """Weights as given, with [numerator, denominator] pairs as Fractions; Instance checks them."""
     out = []
     for v in values:
         if isinstance(v, (list, tuple)):
             if len(v) != 2:
                 raise ValueError(f"kappa pair must be [numerator, denominator], got {v}")
-            out.append(Fraction(v[0], v[1]))
-        else:
-            out.append(Fraction(v))
+            v = Fraction(v[0], v[1])
+        out.append(v)
     return out
 
 
@@ -301,7 +301,6 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
 
 
 def _verify_anisotropic(inst, plan, reporter, trials, seed) -> dict | None:
-    lam_lo, lam_hi = inst.norms.lambda_min, inst.norms.lambda_max
     factor = transfer_bound(1.0, plan.epsilon, inst.norms)
     for t in range(trials):
         rng = _trial_rng(seed, t)

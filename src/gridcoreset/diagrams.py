@@ -53,13 +53,8 @@ class PowerDiagram:
         return self.sites.shape[1]
 
     def powers(self, points) -> np.ndarray:
-        """Power distances as a (k, m) matrix."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-        elif pts.ndim == 1:
-            pts = pts.reshape(-1, 1) if self.d == 1 else pts.reshape(1, -1)
-        out = sq_dists(pts, self.sites)
+        """Power distances of an (m, d) point array as a (k, m) matrix."""
+        out = sq_dists(np.asarray(points, dtype=np.float64), self.sites)
         out += self.gamma[:, None]
         return out
 
@@ -67,27 +62,6 @@ class PowerDiagram:
 def from_duals(sites, duals) -> PowerDiagram:
     """Diagram induced by cluster potentials: gamma_i = -mu_i."""
     return PowerDiagram(sites=sites, gamma=-np.asarray(duals, dtype=np.float64))
-
-
-def assign(diagram: PowerDiagram, points):
-    """Cell label and boundary flag per point.
-
-    The label is the argmin of the power distance (lowest index on ties);
-    the flag is set when the two smallest powers tie within _boundary_tol,
-    i.e. the point lies on a cell boundary; it depends on that point alone.
-    A single point yields plain (int, bool); an array of points yields two arrays.
-    """
-    single = np.ndim(points) == 0 if diagram.d == 1 else np.ndim(points) == 1
-    pw = diagram.powers(points)
-    labels = np.argmin(pw, axis=0)
-    if diagram.k == 1:
-        boundary = np.zeros(pw.shape[1], dtype=bool)
-    else:
-        two = np.partition(pw, 1, axis=0)
-        boundary = two[1] - two[0] <= _boundary_tol(pw)
-    if single:
-        return int(labels[0]), bool(boundary[0])
-    return labels, boundary
 
 
 @dataclass(frozen=True)

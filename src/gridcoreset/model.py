@@ -21,7 +21,6 @@ from .grid import Resolution, as_resolution, coords_array, voxel_volume
 MAX_WEIGHT_BITS = 53
 
 COLUMN_SUM_TOL = 1e-9
-CONSTRAINT_TOL = 1e-10
 
 
 def _dyadic_units(values, what: str) -> tuple[int, tuple[int, ...]]:
@@ -144,11 +143,10 @@ class Instance:
         if k > rho.n:
             raise ValueError(f"cluster count {k} exceeds point count {rho.n}")
 
-        kappa = tuple(float(v) for v in self.kappa)
-        if len(kappa) != k:
-            raise ValueError(f"expected {k} cluster weights, got {len(kappa)}")
-        if any(v <= 0.0 for v in kappa):
-            raise ValueError("all cluster weights must be positive")
+        if len(self.kappa) != k:
+            raise ValueError(f"expected {k} cluster weights, got {len(self.kappa)}")
+        if not all(0 < v <= 1 for v in self.kappa):  # NaN, infinities and huge values fail too
+            raise ValueError("cluster weights must lie in (0, 1]")
         bits, units = _dyadic_units(self.kappa, "cluster weights")
         if sum(units) != (1 << bits):
             raise ValueError(
@@ -282,15 +280,6 @@ def cluster_weights(C: Clustering, rho) -> np.ndarray:
     return nu * np.bincount(C.rows, weights=C.vals, minlength=C.k)
 
 
-def check_constraints(C: Clustering, instance: Instance) -> tuple[bool, float]:
-    """Whether cluster weights match kappa within CONSTRAINT_TOL; returns worst gap."""
-    if C.k != instance.k:
-        raise ValueError(f"clustering has {C.k} clusters, instance has {instance.k}")
-    w = cluster_weights(C, instance.rho)
-    violation = float(np.max(np.abs(w - np.asarray(instance.kappa))))
-    return violation <= CONSTRAINT_TOL, violation
-
-
 def cost_sites(C: Clustering, sites, rho, norms: NormFamily | None = None) -> float:
     """Assignment cost sum_ij xi_ij nu ||x_j - s_i||^2_{A_i}.
 
@@ -312,21 +301,4 @@ def cost_sites(C: Clustering, sites, rho, norms: NormFamily | None = None) -> fl
         mat = None if norms is None else norms.matrices[i:i + 1]
         total += float(C.vals[sl] @ sq_dists(pts[C.cols[sl]], s[i:i + 1], mat)[0])
     return nu * total
-
-
-def centroids(C: Clustering, rho) -> np.ndarray:
-    """Weighted cluster centroids c_i = (1/w_i) sum_j xi_ij omega_j x_j."""
-    rho = as_resolution(rho)
-    if C.n != rho.n:
-        raise ValueError(f"clustering has {C.n} points, grid has {rho.n}")
-    w = cluster_weights(C, rho)
-    if np.any(w <= 0.0):
-        empty = int(np.argmin(w))
-        raise ValueError(f"cluster {empty} has zero weight; centroid undefined")
-    pts = coords_array(rho)
-    nu = float(voxel_volume(rho))
-    out = np.zeros((C.k, rho.d), dtype=np.float64)
-    for i, sl in enumerate(C.cluster_slices()):
-        out[i] = nu * (C.vals[sl] @ pts[C.cols[sl]]) / w[i]
-    return out
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import Resolution, as_resolution, coords_array
-from .model import Clustering, Instance, centroids, site_array, sq_dists
+from .model import Clustering, Instance, site_array, sq_dists
 
 # Dense arc cap: beyond this, refuse and point the caller at coarsening.
 MAX_ARCS = 50_000_000
@@ -426,50 +426,3 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
         exact=problem.exact,
     )
 
-
-@dataclass(frozen=True)
-class AlternateOutcome:
-    """Result of the alternating sites/assignment heuristic."""
-
-    sites: np.ndarray
-    result: SolveResult
-    objectives: tuple[float, ...]
-
-
-# Named RNG stream for alternate_minimize site initialization.
-_ALTMIN_STREAM = 2
-
-
-def alternate_minimize(
-    instance: Instance,
-    max_rounds: int = 50,
-    seed: int = 0,
-    init_sites=None,
-) -> AlternateOutcome:
-    """Alternate optimal assignment with centroid updates until stationary.
-
-    A heuristic for the free-sites clustering problem: each round solves the
-    assignment LP at the current sites, then moves every site to its cluster
-    centroid.  The objective is non-increasing round over round; stops at
-    relative improvement below 1e-9 or after max_rounds.
-    """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    if init_sites is not None:
-        sites = site_array(init_sites, instance.k, instance.d)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ALTMIN_STREAM,)))
-        sites = rng.uniform(0.0, 1.0, size=(instance.k, instance.d))
-    history: list[float] = []
-    result = None
-    for round_index in range(max_rounds):
-        result = solve_assignment(instance, sites=sites)
-        history.append(result.objective)
-        if len(history) >= 2:
-            prev, cur = history[-2], history[-1]
-            if prev - cur <= 1e-9 * (1.0 + abs(prev)):
-                break
-        if round_index == max_rounds - 1:
-            break  # keep sites consistent with the final solve
-        sites = centroids(result.clustering, instance.rho)
-    return AlternateOutcome(sites=sites, result=result, objectives=tuple(history))

@@ -258,9 +258,11 @@ def _golden_with(**fields):
     _golden_with(d=1.5),
     _golden_with(kappa=[[2.5, 4], [2, 4]]),
     _golden_with(kappa=[[2**53 + 1, 2**54], [2**53 - 1, 2**54]]),
+    _golden_with(kappa=[float("inf"), 0.5]),
+    _golden_with(kappa=[10**400, 0.5]),
 ], ids=["list", "string", "k-null", "kappa-number", "rho-null", "epsilon-null",
         "kappa-over-0", "matrix-nan", "rho-float", "k-float", "k-integral-float",
-        "d-float", "kappa-float-pair", "kappa-54-bits"])
+        "d-float", "kappa-float-pair", "kappa-54-bits", "kappa-inf", "kappa-huge-int"])
 def test_malformed_instance_files_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))  # Python's json writes and reads NaN

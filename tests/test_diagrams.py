@@ -1,4 +1,4 @@
-"""Power-diagram certificates: duals to cells, assignment, compatibility."""
+"""Power-diagram certificates: duals to cells, boundary ties, compatibility."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from gridcoreset.diagrams import (
     BOUNDARY_TOL,
     PowerDiagram,
-    assign,
+    _boundary_tol,
     check_compatibility,
     from_duals,
 )
+from gridcoreset.grid import coords_array
 from gridcoreset.model import Clustering, Instance
 from gridcoreset.solver import solve_assignment
 
@@ -27,32 +28,17 @@ def test_cell_boundary_position():
     # gamma = -mu puts the boundary at (0.81 - 0.1 - 0.04) / 1.4.
     diag = from_duals([[0.2], [0.9]], [0.0, 0.1])
     x = 0.67 / 1.4
-    _, boundary = assign(diag, x)
-    assert boundary
-    assert assign(diag, x - 1e-6) == (0, False)
-    assert assign(diag, x + 1e-6) == (1, False)
-
-
-def test_assign_frozen():
-    diag = from_duals([[0.2], [0.9]], [0.0, 0.1])
-    label, boundary = assign(diag, 0.5)
-    assert (label, boundary) == (1, False)
-    pw = diag.powers(0.5).ravel()
+    pw = diag.powers([[x - 1e-6], [x], [x + 1e-6]])
+    gap, tol = pw[1] - pw[0], _boundary_tol(pw)
+    assert abs(gap[1]) <= tol[1]
+    assert gap[0] > tol[0] and -gap[2] > tol[2]  # cell 0 left of x, cell 1 right
+    pw = diag.powers([[0.5]]).ravel()
     assert abs(pw[0] - 0.09) <= 1e-15 and abs(pw[1] - 0.06) <= 1e-15
-
-
-def test_assign_site_and_midpoint():
+    # Equal offsets: the 2-D bisector through the midpoint, each site in its own cell.
     diag = PowerDiagram(sites=[[0.1, 0.1], [0.9, 0.9]], gamma=[0.3, 0.3])
-    assert assign(diag, [0.1, 0.1]) == (0, False)
-    assert assign(diag, [0.9, 0.9]) == (1, False)
-    assert assign(diag, [0.5, 0.5]) == (0, True)  # tie: lowest index wins
-
-
-def test_assign_array_form():
-    diag = from_duals([[0.25], [0.75]], [0.0, 0.0])
-    labels, flags = assign(diag, [0.0, 0.5, 1.0])
-    assert labels.tolist() == [0, 0, 1]
-    assert flags.tolist() == [False, True, False]
+    pw = diag.powers([[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]])
+    gap, tol = pw[1] - pw[0], _boundary_tol(pw)
+    assert gap[0] > tol[0] and -gap[1] > tol[1] and abs(gap[2]) <= tol[2]
 
 
 def test_split_point_lies_on_boundary():
@@ -60,8 +46,9 @@ def test_split_point_lies_on_boundary():
     res = solve_assignment(inst)
     assert res.fractional_count == 2
     diag = from_duals(inst.sites, res.duals)
-    _, boundary = assign(diag, 0.25)
-    assert boundary
+    assert check_compatibility(res.clustering, diag, (1,)).compatible
+    pw = diag.powers([[0.25]])
+    assert abs(pw[1, 0] - pw[0, 0]) <= _boundary_tol(pw)[0]
 
 
 @given(st.data())
@@ -73,11 +60,16 @@ def test_gauge_invariance(data):
     sites = rng.uniform(0.0, 1.0, size=(k, d))
     gamma = rng.uniform(-1.0, 1.0, size=k)
     shift = data.draw(st.integers(-8, 8), label="shift") / 4
-    pts = rng.uniform(0.0, 1.0, size=(100, d))
-    base = assign(PowerDiagram(sites=sites, gamma=gamma), pts)
-    moved = assign(PowerDiagram(sites=sites, gamma=gamma + shift), pts)
-    assert np.array_equal(base[0], moved[0])
-    assert np.array_equal(base[1], moved[1])
+    rho = (3,) * d
+    base = PowerDiagram(sites=sites, gamma=gamma)
+    moved = PowerDiagram(sites=sites, gamma=gamma + shift)
+    own = Clustering.from_labels(k, np.argmin(base.powers(coords_array(rho)), axis=0))
+    other = Clustering.from_labels(k, rng.integers(0, k, size=own.n))
+    for C in (own, other):
+        a, b = check_compatibility(C, base, rho), check_compatibility(C, moved, rho)
+        assert a.compatible == b.compatible
+        assert abs(a.worst_violation - b.worst_violation) <= 1e-12
+    assert check_compatibility(own, moved, rho).compatible
 
 
 def test_single_cluster_strongly_compatible():
@@ -131,10 +123,10 @@ def test_boundary_flag_is_a_property_of_the_point():
     # and a far point with powers near 1e10 in the same call changes nothing.
     diag = PowerDiagram(sites=[[0.0], [1.0]], gamma=[0.0, 0.0])
     x = 0.5 - 2.5e-9
-    assert assign(diag, x) == (0, False)
-    labels, boundary = assign(diag, np.array([x, 1e5, 0.5]))
-    assert labels.tolist() == [0, 1, 0]
-    assert boundary.tolist() == [False, False, True]
+    pw = diag.powers([[x], [1e5], [0.5]])
+    tol = _boundary_tol(pw)
+    assert tol[0] == _boundary_tol(diag.powers([[x]]))[0]
+    assert (np.abs(pw[1] - pw[0]) <= tol).tolist() == [False, False, True]
 
 
 def test_integer_optimum_is_strongly_compatible():

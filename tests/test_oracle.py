@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoreset.model import Instance, Clustering, centroids, cost_sites
+from gridcoreset.model import Instance, Clustering, cost_sites
 from gridcoreset.oracle import (
     MAX_BRUTE_CLUSTERS,
     MAX_BRUTE_POINTS,
@@ -76,12 +76,12 @@ def test_opt1d_matches_closed_form_at_powers_of_two(rho, data):
 @given(st.integers(1, 6), st.data())
 @settings(max_examples=40, deadline=None)
 def test_opt1d_matches_its_own_intervals(rho, data):
-    # Recompute the DP's claimed cost from its reported intervals.
+    # Recompute the DP's claimed cost from its reported intervals and centroids.
     k = data.draw(st.integers(1, 2**rho), label="k")
     res = opt1d_dp(rho, k)
     labels = np.repeat(np.arange(k), res.sizes)
     C = Clustering.from_labels(k, labels)
-    assert abs(cost_sites(C, centroids(C, (rho,)), (rho,)) - res.cost) <= 1e-15
+    assert abs(cost_sites(C, res.centroids, (rho,)) - res.cost) <= 1e-15
 
 
 def test_opt1d_tie_break_shorter_first():
