@@ -32,13 +32,31 @@ def test_cell_boundary_position():
     gap, tol = pw[1] - pw[0], _boundary_tol(pw)
     assert abs(gap[1]) <= tol[1]
     assert gap[0] > tol[0] and -gap[2] > tol[2]  # cell 0 left of x, cell 1 right
-    pw = diag.powers([[0.5]]).ravel()
+
+
+def test_assign_frozen():
+    diag = from_duals([[0.2], [0.9]], [0.0, 0.1])
+    pw = diag.powers([[0.5]])
+    assert int(np.argmin(pw[:, 0])) == 1
+    assert abs(pw[1, 0] - pw[0, 0]) > _boundary_tol(pw)[0]
+    pw = pw.ravel()
     assert abs(pw[0] - 0.09) <= 1e-15 and abs(pw[1] - 0.06) <= 1e-15
+
+
+def test_assign_site_and_midpoint():
     # Equal offsets: the 2-D bisector through the midpoint, each site in its own cell.
     diag = PowerDiagram(sites=[[0.1, 0.1], [0.9, 0.9]], gamma=[0.3, 0.3])
     pw = diag.powers([[0.1, 0.1], [0.9, 0.9], [0.5, 0.5]])
     gap, tol = pw[1] - pw[0], _boundary_tol(pw)
+    assert np.argmin(pw, axis=0).tolist() == [0, 1, 0]  # tie: lowest index wins
     assert gap[0] > tol[0] and -gap[1] > tol[1] and abs(gap[2]) <= tol[2]
+
+
+def test_assign_array_form():
+    diag = from_duals([[0.25], [0.75]], [0.0, 0.0])
+    pw = diag.powers([[0.0], [0.5], [1.0]])
+    assert np.argmin(pw, axis=0).tolist() == [0, 0, 1]
+    assert (np.abs(pw[1] - pw[0]) <= _boundary_tol(pw)).tolist() == [False, True, False]
 
 
 def test_split_point_lies_on_boundary():
