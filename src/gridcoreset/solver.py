@@ -31,12 +31,15 @@ multiscale algorithm for dense optimal transport" (2016): the same instance
 is solved one dyadic level coarser first, in one cost unit per solve, and
 the finer level's greedy start runs on its costs shifted by the coarser
 level's cluster potentials.  Those nearly fix the fine power diagram, so
-few pivots remain.  Any shift gives a feasible start: the ladder changes
-the pivot path, never the optimum.
+few pivots remain.  The greedy start takes the points in Vogel's order of
+decreasing regret, so the points a full cluster turns away are those on a
+cell boundary.  Any shift and any order give a feasible start: the ladder
+and the start change the pivot path, never the optimum.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +63,11 @@ _BLAND_AFTER = 1000
 
 # Ladder floor: the coarser level of a solve lowers every axis exponent
 # above this by one.
-_LADDER_BASE = 3
+_LADDER_BASE = 2
+
+# One debug line per ladder level: resolution, pivots, start objective and
+# the level's optimum.
+_log = logging.getLogger("gridcoreset")
 
 
 class PivotLimitError(RuntimeError):
@@ -122,7 +129,31 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
     if not r <= rho:
         raise ValueError(f"solve resolution {r.exponents} not componentwise <= rho={rho.exponents}")
     s = site_array(instance.sites if sites is None else sites, instance.k, rho.d)
+    return _transport(instance, r, s, _cost_bits(instance, s))
 
+
+def _cost_bits(instance: Instance, s: np.ndarray) -> int:
+    """The cost_bits of every level of a solve: costs in units of 4^-bits, or 0 for float costs.
+
+    Exact integer costs when isotropic and every coordinate lies over
+    2^bits: grid points over 2^(rho_t+1) at any r <= rho, so every level
+    of a solve shares one cost unit; sites over their own (power-of-two)
+    denominators.  Sites within [-4, 4] keep coordinate differences below
+    5 * 2^bits, and the reduced costs then stay within int64: potentials
+    are alternating cost sums along tree paths, at most 2k+4 terms, each
+    at most 25 * d * 4^bits.
+    """
+    rho = instance.rho
+    bits = max([e + 1 for e in rho.exponents]
+               + [Fraction(v).denominator.bit_length() - 1 for v in s.flat])
+    if (instance.norms is None and bits <= MAX_COST_BITS and np.all(np.abs(s) <= 4)
+            and (2 * instance.k + 4) * 25 * rho.d * 4**bits < 2**62):
+        return bits
+    return 0
+
+
+def _transport(instance: Instance, r: Resolution, s: np.ndarray, bits: int) -> TransportProblem:
+    """build_transport at a checked resolution r, with sites s and cost unit bits given."""
     k = instance.k
     n = r.n
     if n * k > MAX_ARCS:
@@ -137,21 +168,10 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
     demands = tuple(u << (L - instance.kappa_bits) for u in instance.kappa_units)
 
     pts = coords_array(r)
-    # Exact integer costs when isotropic and every coordinate lies over
-    # 2^bits: grid points over 2^(rho_t+1) at any r <= rho, so every level
-    # of a solve shares one cost unit; sites over their own (power-of-two)
-    # denominators.  Sites within [-4, 4] keep coordinate differences below
-    # 5 * 2^bits, and the reduced costs then stay within int64: potentials
-    # are alternating cost sums along tree paths, at most 2k+4 terms, each
-    # at most 25 * d * 4^bits.
-    bits = max([e + 1 for e in rho.exponents]
-               + [Fraction(v).denominator.bit_length() - 1 for v in s.flat])
-    if (instance.norms is None and bits <= MAX_COST_BITS and np.all(np.abs(s) <= 4)
-            and (2 * k + 4) * 25 * rho.d * 4**bits < 2**62):
+    if bits:
         scale = float(1 << bits)
         costs = sq_dists((pts * scale).astype(np.int64), (s * scale).astype(np.int64))
     else:
-        bits = 0
         costs = sq_dists(pts, s, None if instance.norms is None else instance.norms.matrices)
 
     return TransportProblem(
@@ -164,18 +184,38 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
     """Cheapest-available greedy start basis as (owner, core).
 
     cost2d may be any (k, n) array, in practice the costs shifted by start
-    potentials: the basis is feasible whatever it holds.  Points are
-    processed in flat order.  A point goes whole to its cheapest
-    cluster if that one has room (ties to the lowest index), and is split
-    over clusters in cost order otherwise.  owner[j] is the cluster of a
-    point assigned whole; core maps every split arc i*n + j to its amount.
-    A split point exhausts all but at most one of its clusters, so the split
-    arcs form a forest.  Each of its trees hangs from the root by the
-    artificial arc k*n + a of its union-find representative a, at flow 0.
+    potentials: the basis is feasible whatever it holds and in whatever
+    order the points come.  Points are processed in decreasing regret, the
+    second-cheapest cost minus the cheapest (Vogel's approximation method,
+    Reinfeld and Vogel 1958), ties to the lower index, so the points a full
+    cluster pushes out are those nearest another cluster.  A point goes
+    whole to its cheapest cluster if that one has room (ties to the lowest
+    index), and is split over clusters in cost order otherwise.  owner[j]
+    is the cluster of a point assigned whole; core maps every split arc
+    i*n + j to its amount.  A split point exhausts all but at most one of
+    its clusters, so the split arcs form a forest.  Each of its trees hangs
+    from the root by the artificial arc k*n + a of its union-find
+    representative a, at flow 0.
     """
     k, n = cost2d.shape
-    cap = list(demands)
     owner = np.argmin(cost2d, axis=0)
+    if k > 1:
+        cheapest = np.partition(cost2d, 1, axis=0)
+        order = np.argsort(cheapest[0] - cheapest[1], kind="stable")
+    else:
+        order = np.arange(n)
+    chosen = owner[order]
+
+    # Every point before the first overflow goes whole to its cheapest
+    # cluster.  Cluster i takes room[i] whole points, so its first overflow
+    # is its room[i]-th chooser (from 0) in processing order.
+    room = np.array([c // supply for c in demands])
+    by_cluster = np.argsort(chosen, kind="stable")
+    counts = np.bincount(chosen, minlength=k)
+    first = (np.cumsum(counts) - counts + room)[counts > room]
+    t = int(by_cluster[first].min(initial=n))
+    cap = [c - supply * m for c, m in zip(demands, np.bincount(chosen[:t], minlength=k).tolist())]
+
     core: dict[int, int] = {}
     comp = list(range(k))
 
@@ -185,13 +225,15 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
             i = comp[i]
         return i
 
-    for j, i in enumerate(owner.tolist()):
+    tail = order[t:]
+    by_cost = np.argsort(cost2d[:, tail], axis=0, kind="stable").T.tolist()
+    for j, i, ranked in zip(tail.tolist(), chosen[t:].tolist(), by_cost):
         if cap[i] >= supply:
             cap[i] -= supply
             continue
         need = supply
         got: list[tuple[int, int]] = []
-        for i in np.lexsort((np.arange(k), cost2d[:, j])).tolist():
+        for i in ranked:
             if cap[i] <= 0:
                 continue
             take = min(cap[i], need)
@@ -254,6 +296,8 @@ def _network_simplex(problem: TransportProblem, mu=0):
     INF = 1 << 62
 
     owner, core = _greedy_start(C2 - np.reshape(mu, (-1, 1)), supply, problem.demands)
+    logging_on = _log.isEnabledFor(logging.DEBUG)
+    start = _objective(problem, *_support(problem, owner, core)) if logging_on else None
     own = C2[owner, cols]                          # C[owner[j], j]
     pi_cl = np.zeros(k, dtype=C2.dtype)
     up, kids, pot = {root: (-1, -1)}, defaultdict(set), {root: 0}
@@ -362,62 +406,82 @@ def _network_simplex(problem: TransportProblem, mu=0):
             kids[w].discard(out % n)
             del core[arc]
 
+    if logging_on:
+        _log.debug("level %s: %d pivots, start objective %r, optimum %r",
+                   problem.resolution.exponents, pivots, start,
+                   _objective(problem, *_support(problem, owner, core)))
     return owner, core, pi_cl, pivots
 
 
-def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
-    """Globally optimal basic solution of the assignment LP at resolution r.
-
-    Deterministic: fixed pivot and tie-break rules, and a ladder start that
-    solves the levels below r first (every axis exponent above _LADDER_BASE
-    lowered by one per level), all in one cost unit; pivots counts all
-    levels.  When every kappa_i is an integer multiple of nu(r), the basic
-    optimum is integer; in general at most 2(k-1) fractions are fractional.
-    """
-    problem = build_transport(instance, resolution=resolution, sites=sites)
-    exps = problem.resolution.exponents
-    # Level m lowers each exponent above _LADDER_BASE by m, not below it, and
-    # starts from mu = -pi of level m + 1: C - mu sums 2k+5 costs, within int64.
-    mu, pivots = 0, 0
-    for m in range(max(exps) - _LADDER_BASE, 0, -1):
-        level = tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps)
-        *_, pi_cl, p = _network_simplex(build_transport(instance, level, sites), mu)
-        mu, pivots = -pi_cl, pivots + p
-    owner, core, pi_cl, p = _network_simplex(problem, mu)
+def _support(problem: TransportProblem, owner, core):
+    """Support of a basis as (arcs, flows) in arc order: every leaf at full
+    supply plus the split arcs with positive flow."""
     k, n = problem.k, problem.n
     cols = np.arange(n)
-
-    # Support: every leaf at full supply plus the split arcs with positive
-    # flow, in arc order.
     split = [(arc, f) for arc, f in core.items() if arc < k * n and f > 0]
     split_arcs, split_flows = np.array(split, dtype=np.int64).reshape(-1, 2).T
     leaf = np.isin(cols, split_arcs % n, invert=True)
     arcs = np.append(owner[leaf] * n + cols[leaf], split_arcs)
     flows = np.append(np.full(np.count_nonzero(leaf), problem.supply, dtype=np.int64), split_flows)
     order = np.argsort(arcs)
-    arcs, flows = arcs[order], flows[order]
+    return arcs[order], flows[order]
+
+
+def _objective(problem: TransportProblem, arcs, flows) -> float:
+    """Cost of a support: in Python integers over 2^-unit_bits 4^-cost_bits
+    on the exact path, rounded once; in float64 otherwise."""
+    costs = problem.costs.ravel()[arcs]
+    if problem.exact:
+        total = np.dot(flows.astype(object), costs.astype(object))
+        return float(Fraction(total, 1 << (problem.unit_bits + 2 * problem.cost_bits)))
+    return float(Fraction(1, 1 << problem.unit_bits)) * float(np.dot(flows.astype(np.float64), costs))
+
+
+def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
+    """Globally optimal basic solution of the assignment LP at resolution r.
+
+    Deterministic: fixed pivot and tie-break rules, and a ladder start that
+    solves the levels below r first (every axis exponent above _LADDER_BASE,
+    which is 2, lowered by one per level), all in the cost unit that
+    build_transport decides for r; pivots counts all levels, and the
+    "gridcoreset" logger gives one debug line per level.  When every kappa_i
+    is an integer multiple of nu(r), the basic optimum is integer; in
+    general at most 2(k-1) fractions are fractional.
+    """
+    problem = build_transport(instance, resolution=resolution, sites=sites)
+    s = site_array(instance.sites if sites is None else sites, instance.k, instance.rho.d)
+    exps = problem.resolution.exponents
+    # Level m lowers each exponent above _LADDER_BASE by m, not below it, and
+    # starts from mu = -pi of level m + 1: C - mu sums 2k+5 costs, within int64.
+    # Every level prices in the top level's cost unit.
+    mu, pivots = 0, 0
+    for m in range(max(exps) - _LADDER_BASE, 0, -1):
+        level = as_resolution(tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps))
+        *_, pi_cl, p = _network_simplex(_transport(instance, level, s, problem.cost_bits), mu)
+        mu, pivots = -pi_cl, pivots + p
+    owner, core, pi_cl, p = _network_simplex(problem, mu)
+    k, n = problem.k, problem.n
+    arcs, flows = _support(problem, owner, core)
     clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
                             vals=flows / float(problem.supply))
 
-    # Objective, dual objective and duals mu_i = pi_1 - pi_i: in integers
-    # scaled by 4^-cost_bits on the exact path, in float64 otherwise.
+    # Dual objective and duals mu_i = pi_1 - pi_i: in integers scaled by
+    # 4^-cost_bits on the exact path, in float64 otherwise.
     unit = Fraction(1, 1 << problem.unit_bits)
-    pi_pts = pi_cl[owner] + problem.costs[owner, cols]
+    pi_pts = pi_cl[owner] + problem.costs[owner, np.arange(n)]
     if problem.exact:
         scale, dtype = Fraction(1, 1 << (2 * problem.cost_bits)), object
     else:
         scale, unit, dtype = 1.0, float(unit), np.float64
-    flows, costs, pi_pts, pi_cl = (v.astype(dtype) for v in (
-        flows, problem.costs.ravel()[arcs], pi_pts, pi_cl))
+    pi_pts, pi_cl = pi_pts.astype(dtype), pi_cl.astype(dtype)
     demands = np.array(problem.demands, dtype=dtype)
     mu = pi_cl[0] - pi_cl
-    objective = float(unit * (np.dot(flows, costs) * scale))
     dual = problem.supply * np.sum(pi_pts - pi_cl[0]) + np.dot(demands, mu)
     dual_objective = float(unit * (dual * scale))
 
     return SolveResult(
         clustering=clustering,
-        objective=objective,
+        objective=_objective(problem, arcs, flows),
         duals=tuple(float(v * scale) for v in mu),
         fractional_count=clustering.fractional_count(),
         resolution=problem.resolution,

@@ -221,3 +221,45 @@ def basis_potentials(costs, owner, core):
                 stack.append(v)
     assert len(arcs) == n + k and len(pi) == root + 1, "basis is not a spanning tree"
     return [pi[n + i] for i in range(k)]
+
+
+def greedy_start(costs, supply, demands):
+    """The greedy start basis, one point at a time, as (owner, core).
+
+    The reference for solver._greedy_start.  Points come in decreasing
+    regret, the second-cheapest cost minus the cheapest (0 when k = 1), ties
+    to the lower index.  A point goes whole to its cheapest cluster (lowest
+    index among ties) when that cluster has room; otherwise it takes what is
+    left of each cluster in (cost, index) order until its supply is placed.
+    core holds the split arcs i*n + j of every point placed in more than one
+    cluster, with their amounts.  A split point joins the trees of its
+    clusters into one, which keeps the representative of its cheapest
+    cluster's tree, and each tree hangs from the root by the artificial arc
+    k*n + a of its representative a, at flow 0.
+    """
+    k, n = costs.shape
+    cols = [[costs[i, j].item() for i in range(k)] for j in range(n)]
+    regret = [b - a for a, b, *_ in map(sorted, cols)] if k > 1 else [0] * n
+    cap = list(demands)
+    rep = list(range(k))
+    owner = [0] * n
+    core = {}
+    for j in sorted(range(n), key=lambda j: (-regret[j], j)):
+        ranked = sorted(range(k), key=lambda i: (cols[j][i], i))
+        need, got = supply, []
+        if cap[ranked[0]] < supply:
+            ranked = [i for i in ranked if cap[i] > 0]
+        for i in ranked:
+            take = min(cap[i], need)
+            cap[i] -= take
+            need -= take
+            got.append((i, take))
+            if need == 0:
+                break
+        owner[j] = got[0][0]
+        if len(got) > 1:
+            core.update({i * n + j: take for i, take in got})
+            joined = {rep[i] for i, _ in got}
+            rep = [rep[got[0][0]] if r in joined else r for r in rep]
+    core.update({k * n + a: 0 for a in sorted(set(rep))})
+    return owner, core

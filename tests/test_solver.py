@@ -1,6 +1,7 @@
 """Exact transportation solves: optima, duals, integrality, degeneracy."""
 
 import json
+import logging
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from gridcoreset.solver import (
 )
 
 from exact_refs import (basis_potentials, clustering_entries, exact_cost, exact_dual_bound,
-                        exact_volume, site_fractions)
+                        exact_volume, greedy_start, site_fractions)
 
 
 def pair_instance(kappa):
@@ -386,6 +387,60 @@ def test_basis_potentials(case):
     assert_basis_potentials(case[0])
 
 
+def assert_greedy_start_matches_reference(inst):
+    """The start against the one-point-at-a-time reference, cold and shifted
+    by the optimal potentials, whose power diagram puts cost and regret ties
+    on every cell boundary.  Returns the cases the instance covered."""
+    problem = build_transport(inst)
+    k, n, supply = problem.k, problem.n, problem.supply
+    *_, pi_cl, _ = solver._network_simplex(problem)
+    covered = {"k = 1"} if k == 1 else set()
+    for mu in (np.zeros_like(pi_cl), -pi_cl):
+        costs = problem.costs - mu[:, None]
+        owner, core = solver._greedy_start(costs, supply, problem.demands)
+        assert (owner.tolist(), core) == greedy_start(costs, supply, problem.demands)
+        # Feasible: leaves and core arcs span a tree (so the split arcs form
+        # a forest), every point places its supply, every cluster receives
+        # its demand, and at most k - 1 points are split.
+        basis_potentials(costs, owner, core)
+        split = [(arc // n, arc % n, f) for arc, f in core.items() if arc < k * n]
+        split_points = {j for _, j, _ in split}
+        assert len(split_points) <= k - 1
+        loads, placed = [0] * k, dict.fromkeys(split_points, 0)
+        for j in set(range(n)) - split_points:
+            loads[owner[j]] += supply
+        for i, j, f in split:
+            loads[i] += f
+            placed[j] += f
+        assert loads == list(problem.demands)
+        assert set(placed.values()) <= {supply}
+        if split:
+            covered.add("split points")
+        if k > 1:
+            cheapest = np.partition(costs, 1, axis=0)
+            regret = cheapest[1] - cheapest[0]
+            if np.any(regret == 0):
+                covered.add("cost ties")
+            if len(np.unique(regret)) < n:
+                covered.add("regret ties")
+    return covered
+
+
+def test_greedy_start_matches_reference_on_fixtures():
+    # Fixture weights lie on the grid, so the off-grid instances add splits.
+    rng = np.random.default_rng(37)
+    covered = set()
+    for inst in _fixture_instances() + [random_instance(rng, on_grid=False) for _ in range(30)]:
+        covered |= assert_greedy_start_matches_reference(inst)
+    assert covered == {"k = 1", "split points", "cost ties", "regret ties"}
+
+
+@given(degenerate_instances(max_bits=8, anisotropic=True))
+@settings(max_examples=100, deadline=None)
+def test_greedy_start_matches_reference(case):
+    assert_greedy_start_matches_reference(case[0])
+
+
 def solve_fine_instance(exps, k, dyadic, seed):
     """An n = 1024 instance shaped like the benchmark's solve_fine items:
     weights are the cell counts of a random power diagram on the grid, sites
@@ -406,20 +461,21 @@ def solve_fine_instance(exps, k, dyadic, seed):
 
 
 # (exps, k, dyadic, seed): (pivots, objective, dual_objective), recorded
-# before the core tree was updated in place; the pivot path must not move.
+# with the regret-ordered greedy start and ladder floor 2; the pivot path
+# must not move unless the start or the pivot rules change on purpose.
 PINNED_SOLVES = {
-    ((10,), 3, True, 0): (11, 0.0720367431640625, 0.0720367431640625),
-    ((10,), 3, False, 1): (9, 0.03240334967426215, 0.03240334967426215),
-    ((10,), 8, True, 2): (41, 0.010015394538640976, 0.010015394538640976),
-    ((10,), 8, False, 3): (51, 0.010150895585815532, 0.010150895585815535),
-    ((5, 5), 3, True, 4): (31, 0.31235381588339806, 0.31235381588339806),
-    ((5, 5), 3, False, 5): (31, 0.15874391257630632, 0.1587439125763063),
-    ((5, 5), 8, True, 6): (128, 0.07124368287622929, 0.07124368287622929),
-    ((5, 5), 8, False, 7): (108, 0.07009523397639272, 0.07009523397639272),
-    ((4, 3, 3), 3, True, 8): (195, 0.25550625193864107, 0.25550625193864107),
-    ((4, 3, 3), 3, False, 9): (384, 0.3203151594596165, 0.32031515945961664),
-    ((4, 3, 3), 8, True, 10): (482, 0.1264917002990842, 0.1264917002990842),
-    ((4, 3, 3), 8, False, 11): (338, 0.17528057825619733, 0.17528057825619736),
+    ((10,), 3, True, 0): (8, 0.0720367431640625, 0.0720367431640625),
+    ((10,), 3, False, 1): (15, 0.03240334967426215, 0.03240334967426215),
+    ((10,), 8, True, 2): (42, 0.010015394538640976, 0.010015394538640976),
+    ((10,), 8, False, 3): (62, 0.010150895585815532, 0.010150895585815535),
+    ((5, 5), 3, True, 4): (25, 0.31235381588339806, 0.31235381588339806),
+    ((5, 5), 3, False, 5): (11, 0.15874391257630632, 0.1587439125763063),
+    ((5, 5), 8, True, 6): (112, 0.07124368287622929, 0.07124368287622929),
+    ((5, 5), 8, False, 7): (74, 0.07009523397639272, 0.07009523397639272),
+    ((4, 3, 3), 3, True, 8): (11, 0.25550625193864107, 0.25550625193864107),
+    ((4, 3, 3), 3, False, 9): (41, 0.3203151594596165, 0.3203151594596165),
+    ((4, 3, 3), 8, True, 10): (155, 0.1264917002990842, 0.1264917002990842),
+    ((4, 3, 3), 8, False, 11): (99, 0.17528057825619733, 0.17528057825619736),
 }
 
 
@@ -428,6 +484,33 @@ def test_pinned_pivot_path(spec):
     res = solve_assignment(solve_fine_instance(*spec))
     assert res.exact is spec[2]
     assert (res.pivots, res.objective, res.dual_objective) == PINNED_SOLVES[spec]
+
+
+def test_ladder_levels_logged(caplog, monkeypatch):
+    # One debug line per level, coarsest first; the start objective of a
+    # feasible basis is never below its level's optimum, and is computed only
+    # while the logger is on.
+    objectives = []
+
+    def objective(*args):
+        objectives.append(solver_objective(*args))
+        return objectives[-1]
+
+    solver_objective = solver._objective
+    monkeypatch.setattr(solver, "_objective", objective)
+    inst = solve_fine_instance((4, 3, 3), 8, True, 10)
+    with caplog.at_level(logging.INFO, logger="gridcoreset"):
+        res = solve_assignment(inst)
+    assert objectives == [res.objective] and not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="gridcoreset"):
+        logged = solve_assignment(inst)
+    assert (logged.pivots, logged.objective) == (res.pivots, res.objective)
+    levels = [r.args for r in caplog.records if r.name == "gridcoreset"]
+    assert [exps for exps, *_ in levels] == [(2, 2, 2), (3, 2, 2), (4, 3, 3)]
+    assert sum(pivots for _, pivots, _, _ in levels) == res.pivots
+    assert all(start >= optimum for *_, start, optimum in levels)
+    assert levels[-1][-1] == res.objective
+    assert len(objectives) == 2 + 2 * len(levels)
 
 
 def _solve_with_ladder_base(inst, base):
