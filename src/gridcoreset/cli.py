@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import operator
 import sys
@@ -374,13 +375,25 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _AtLeastOne(argparse.Action):
+    """Stores an int option's value, refusing one below 1 as a usage error (exit 2)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _trial_options(p: argparse.ArgumentParser, trials: int) -> None:
-    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--trials", type=int, default=trials, action=_AtLeastOne)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write ReportRows as CSV")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and main runs many times in one process."""
     # instance, --epsilon and --tau of the commands that plan a coreset.
     planned = argparse.ArgumentParser(add_help=False)
     planned.add_argument("instance")

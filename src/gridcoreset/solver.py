@@ -40,6 +40,7 @@ and the start change the pivot path, never the optimum.
 from __future__ import annotations
 
 import logging
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -420,7 +421,8 @@ def _support(problem: TransportProblem, owner, core):
     cols = np.arange(n)
     split = [(arc, f) for arc, f in core.items() if arc < k * n and f > 0]
     split_arcs, split_flows = np.array(split, dtype=np.int64).reshape(-1, 2).T
-    leaf = np.isin(cols, split_arcs % n, invert=True)
+    leaf = np.ones(n, dtype=bool)
+    leaf[split_arcs % n] = False
     arcs = np.append(owner[leaf] * n + cols[leaf], split_arcs)
     flows = np.append(np.full(np.count_nonzero(leaf), problem.supply, dtype=np.int64), split_flows)
     order = np.argsort(arcs)
@@ -432,8 +434,8 @@ def _objective(problem: TransportProblem, arcs, flows) -> float:
     on the exact path, rounded once; in float64 otherwise."""
     costs = problem.costs.ravel()[arcs]
     if problem.exact:
-        total = np.dot(flows.astype(object), costs.astype(object))
-        return float(Fraction(total, 1 << (problem.unit_bits + 2 * problem.cost_bits)))
+        total = sum(map(operator.mul, flows.tolist(), costs.tolist()))
+        return total / (1 << (problem.unit_bits + 2 * problem.cost_bits))
     return float(Fraction(1, 1 << problem.unit_bits)) * float(np.dot(flows.astype(np.float64), costs))
 
 
@@ -465,24 +467,29 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
     clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
                             vals=flows / float(problem.supply))
 
-    # Dual objective and duals mu_i = pi_1 - pi_i: in integers scaled by
-    # 4^-cost_bits on the exact path, in float64 otherwise.
-    unit = Fraction(1, 1 << problem.unit_bits)
+    # Dual objective and duals mu_i = pi_1 - pi_i: in Python integers over
+    # 2^-unit_bits 4^-cost_bits on the exact path, each rounded once (int / int
+    # is correctly rounded); in float64 otherwise.
     pi_pts = pi_cl[owner] + problem.costs[owner, np.arange(n)]
     if problem.exact:
-        scale, dtype = Fraction(1, 1 << (2 * problem.cost_bits)), object
+        pi = pi_cl.tolist()
+        mu = [pi[0] - v for v in pi]
+        dual = (problem.supply * (sum(pi_pts.tolist()) - n * pi[0])
+                + sum(map(operator.mul, problem.demands, mu)))
+        scale = 1 << (2 * problem.cost_bits)
+        dual_objective = dual / (scale << problem.unit_bits)
+        duals = tuple(v / scale for v in mu)
     else:
-        scale, unit, dtype = 1.0, float(unit), np.float64
-    pi_pts, pi_cl = pi_pts.astype(dtype), pi_cl.astype(dtype)
-    demands = np.array(problem.demands, dtype=dtype)
-    mu = pi_cl[0] - pi_cl
-    dual = problem.supply * np.sum(pi_pts - pi_cl[0]) + np.dot(demands, mu)
-    dual_objective = float(unit * (dual * scale))
+        mu = pi_cl[0] - pi_cl
+        dual = (problem.supply * np.sum(pi_pts - pi_cl[0])
+                + np.dot(np.array(problem.demands, dtype=np.float64), mu))
+        dual_objective = float(float(Fraction(1, 1 << problem.unit_bits)) * dual)
+        duals = tuple(mu.tolist())
 
     return SolveResult(
         clustering=clustering,
         objective=_objective(problem, arcs, flows),
-        duals=tuple(float(v * scale) for v in mu),
+        duals=duals,
         fractional_count=clustering.fractional_count(),
         resolution=problem.resolution,
         dual_objective=dual_objective,

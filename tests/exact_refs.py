@@ -4,7 +4,8 @@ Everything here is computed from first principles with Fraction sums and
 brute-force enumeration, deliberately avoiding the package's own closed
 forms and vectorized identities.  Slow but exact; keep inputs small.
 argsort_extend (a lift by sorting) and restrict (a batch average by
-bincount) are the numpy references for the package's extend.
+bincount) are the numpy references for the package's extend, and
+object_extraction (object-dtype sums) the one for the solver's results.
 """
 
 from __future__ import annotations
@@ -263,3 +264,41 @@ def greedy_start(costs, supply, demands):
             rep = [rep[got[0][0]] if r in joined else r for r in rep]
     core.update({k * n + a: 0 for a in sorted(set(rep))})
     return owner, core
+
+
+def object_extraction(problem, owner, core, pi_cl):
+    """A final simplex basis's support and values, extracted with np.isin and
+    object-dtype arrays of length n, as (arcs, flows, objective,
+    dual_objective, duals).
+
+    The reference for solve_assignment's extraction, which must match it bit
+    for bit: on the exact path every sum is in Python integers over
+    2^-unit_bits 4^-cost_bits and is rounded once through a Fraction; on the
+    float path the sums are the solver's float64 ones.
+    """
+    k, n = problem.k, problem.n
+    cols = np.arange(n)
+    split = [(arc, f) for arc, f in core.items() if arc < k * n and f > 0]
+    split_arcs, split_flows = np.array(split, dtype=np.int64).reshape(-1, 2).T
+    leaf = np.isin(cols, split_arcs % n, invert=True)
+    arcs = np.append(owner[leaf] * n + cols[leaf], split_arcs)
+    flows = np.append(np.full(np.count_nonzero(leaf), problem.supply, dtype=np.int64), split_flows)
+    order = np.argsort(arcs)
+    arcs, flows = arcs[order], flows[order]
+
+    costs = problem.costs.ravel()[arcs]
+    unit = Fraction(1, 1 << problem.unit_bits)
+    if problem.exact:
+        total = np.dot(flows.astype(object), costs.astype(object))
+        objective = float(Fraction(total, 1 << (problem.unit_bits + 2 * problem.cost_bits)))
+        scale, dtype = Fraction(1, 1 << (2 * problem.cost_bits)), object
+    else:
+        objective = float(unit) * float(np.dot(flows.astype(np.float64), costs))
+        scale, unit, dtype = 1.0, float(unit), np.float64
+    pi_pts = pi_cl[owner] + problem.costs[owner, cols]
+    pi_pts, pi_cl = pi_pts.astype(dtype), pi_cl.astype(dtype)
+    demands = np.array(problem.demands, dtype=dtype)
+    mu = pi_cl[0] - pi_cl
+    dual = problem.supply * np.sum(pi_pts - pi_cl[0]) + np.dot(demands, mu)
+    return (arcs, flows, objective, float(unit * (dual * scale)),
+            tuple(float(v * scale) for v in mu))

@@ -235,6 +235,59 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["verify", str(unbalanced)]) == 2
     assert main(["gen", "--d", "2", "--rho", "3", "--k", "2"]) == 2  # d mismatch
     capsys.readouterr()
+    report = tmp_path / "x.csv"
+    for argv in (["verify", str(GOLDEN), "--trials", "-2", "--out", str(report)],
+                 ["verify", str(GOLDEN), "--trials", "0"],
+                 ["bench", str(GOLDEN), "--trials", "-1"]):
+        with pytest.raises(SystemExit) as exc:  # a usage error, from argparse
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --trials: must be at least 1" in err
+    assert not report.exists()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; each call must behave as
+    # with a parser built for it alone: options left out get their defaults
+    # again, and usage errors and help exit as before.
+    inst = tmp_path / "square.json"
+    main(["gen", "--d", "2", "--rho", "3,3", "--k", "3", "--seed", "5", "--out", str(inst)])
+    verify = ["verify", str(GOLDEN), "--trials", "3", "--seed", "4"]
+    calls = [verify + ["--out", "a.csv"], verify,
+             ["solve", str(inst), "--tau", "2,2"], ["solve", str(inst)],
+             ["solve", str(inst), "--no-such-flag"], ["--help"]]
+
+    def run_all(workdir):
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        capsys.readouterr()
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            out, err = capsys.readouterr()
+            out = [line for line in out.splitlines() if not line.startswith("wall_time_s")]
+            files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+            results.append((code, out, err, files))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = run_all(tmp_path / "cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = run_all(tmp_path / "fresh")
+    assert cached == fresh
+    assert [code for code, *_ in cached] == [0, 0, 0, 0, ("SystemExit", 2), ("SystemExit", 0)]
+    golden = FIXTURES / "verify" / "gen_d1_rho3_k2_seed0_trials3_seed4.csv"
+    assert cached[0][3] == {"a.csv": golden.read_bytes()}
+    assert cached[1][1] == ["verified 3 trials (compatibility, property_a, property_b): "
+                            "all passed"]
+    assert cached[2][1][0] == "resolution 2x2" and cached[3][1][0] == "resolution 3x3"
+    assert "unrecognized arguments: --no-such-flag" in cached[4][2]
+    assert cached[5][1][0].startswith("usage: gridcoreset")
 
 
 def _golden_with(**fields):

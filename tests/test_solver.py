@@ -28,7 +28,7 @@ from gridcoreset.solver import (
 )
 
 from exact_refs import (basis_potentials, clustering_entries, exact_cost, exact_dual_bound,
-                        exact_volume, greedy_start, site_fractions)
+                        exact_volume, greedy_start, object_extraction, site_fractions)
 
 
 def pair_instance(kappa):
@@ -385,6 +385,61 @@ def test_basis_potentials_under_bland(monkeypatch):
 @settings(max_examples=100, deadline=None)
 def test_basis_potentials(case):
     assert_basis_potentials(case[0])
+
+
+def assert_extraction_matches_reference(inst):
+    """solve_assignment's result against object_extraction of its final
+    basis, bit for bit (repr tells -0.0 from 0.0).  Returns the final level's
+    problem and the reference."""
+    finals = []
+
+    def capture(problem, mu=0):
+        finals.append((problem, network_simplex(problem, mu)))
+        return finals[-1][1]
+
+    network_simplex = solver._network_simplex
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_network_simplex", capture)
+        res = solve_assignment(inst)
+    problem, (owner, core, pi_cl, _) = finals[-1]
+    ref = object_extraction(problem, owner, core, pi_cl)
+    arcs, flows, *values = ref
+    n = problem.n
+    C = res.clustering
+    assert C.rows.tolist() == (arcs // n).tolist() and C.cols.tolist() == (arcs % n).tolist()
+    assert C.vals.tolist() == (flows / float(problem.supply)).tolist()
+    got = [res.objective, res.dual_objective, res.duals]
+    assert got == values and repr(got) == repr(values)
+    return problem, ref
+
+
+def test_extraction_matches_reference_on_fixtures():
+    paths = {assert_extraction_matches_reference(inst)[0].exact
+             for inst in _fixture_instances()}
+    assert paths == {True, False}
+
+
+@given(degenerate_instances(max_bits=8, anisotropic=True))
+@settings(max_examples=100, deadline=None)
+def test_extraction_matches_reference(case):
+    assert_extraction_matches_reference(case[0])
+
+
+def test_exact_extraction_past_int64():
+    # The largest cost unit and sites near -4 and 4: the sums of the objective
+    # and of the point potentials, in units of 2^-unit_bits 4^-cost_bits, pass
+    # 2^63, where int64 sums wrap.
+    inst = Instance(k=2, rho=(10,), kappa=(0.5, 0.5),
+                    sites=[[-4 + 2.0**-26], [4 - 2.0**-26]])
+    problem, (arcs, flows, objective, dual_objective, _) = assert_extraction_matches_reference(inst)
+    assert problem.exact and problem.cost_bits == solver.MAX_COST_BITS
+    costs = problem.costs.ravel()[arcs]
+    numerator = sum(int(f) * int(c) for f, c in zip(flows, costs))
+    assert numerator > 2**63
+    assert int(np.dot(flows, costs)) != numerator
+    exact = exact_cost(clustering_entries(solve_assignment(inst).clustering),
+                       site_fractions(inst.sites), (10,))
+    assert objective == dual_objective == float(exact)
 
 
 def assert_greedy_start_matches_reference(inst):
