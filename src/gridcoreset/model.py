@@ -22,9 +22,6 @@ MAX_WEIGHT_BITS = 53
 
 COLUMN_SUM_TOL = 1e-9
 
-# Entries per fancy-index += of the column-sum check: bounds its temporaries.
-_SUM_CHUNK = 1 << 16
-
 
 def _dyadic_units(values, what: str) -> tuple[int, tuple[int, ...]]:
     """Express values as integers over a common 2^L denominator, exactly."""
@@ -187,11 +184,6 @@ class Instance:
         return self.rho.d
 
 
-def _block_bounds(rows: np.ndarray, k: int) -> list[int]:
-    """Where each cluster's block starts in non-decreasing rows, and where the last ends."""
-    return np.searchsorted(rows, np.arange(k + 1)).tolist()
-
-
 def _stored(a: np.ndarray, dtype) -> np.ndarray:
     """a itself if it is a read-only 1-D array of dtype that owns its data, else a 1-D copy."""
     shared = a.ndim == 1 and a.dtype == dtype and a.flags.owndata and not a.flags.writeable
@@ -229,30 +221,18 @@ class Clustering:
             raise ValueError("point index out of range")
         if vals.size and not (vals.min() > 0.0 and vals.max() <= 1.0):  # NaN fails too
             raise ValueError("assignment fractions must lie in (0, 1]")
-        # Sorted with no duplicates: rows non-decreasing, and cols strictly
-        # increasing in each cluster's block, so cols fall only where a block starts.
-        bounds = None
-        if not np.any(rows[1:] < rows[:-1]):
-            bounds = _block_bounds(rows, self.k)
-            falls = np.flatnonzero(cols[1:] <= cols[:-1]) + 1
-            if falls.size > self.k or not set(falls.tolist()) <= set(bounds):
-                bounds = None
-        if bounds is None:
-            keys = rows * self.n + cols
+        keys = rows * self.n
+        keys += cols
+        if np.any(keys[1:] <= keys[:-1]):  # strictly increasing: sorted, no duplicates
             order = np.argsort(keys)
             rows, cols, vals = rows[order], cols[order], vals[order]
             if np.any(np.diff(keys[order]) == 0):
                 raise ValueError("duplicate (cluster, point) entries")
-            del keys, order
-            bounds = _block_bounds(rows, self.k)
-        # Column sums block by block, in bounded chunks: a block's cols are
-        # distinct, so += adds each entry once, in the order of bincount's
-        # sums, and no read-only input is copied.
+        del keys  # freed before the n-long column sums: a lower peak on a lift
+        # Entries are added in order, as bincount would, but ufunc.at copies no
+        # read-only input (bincount copies a lift's cols and vals).
         sums = np.zeros(self.n)
-        for a, b in zip(bounds, bounds[1:]):
-            for lo in range(a, b, _SUM_CHUNK):
-                hi = min(lo + _SUM_CHUNK, b)
-                sums[cols[lo:hi]] += vals[lo:hi]
+        np.add.at(sums, cols, vals)
         worst = max(sums.max() - 1.0, 1.0 - sums.min()) if self.n else 0.0
         if worst > COLUMN_SUM_TOL:
             raise ValueError(f"column sums deviate from 1 by {worst:.3e}")
@@ -290,8 +270,8 @@ class Clustering:
 
     def cluster_slices(self) -> list[slice]:
         """Per-cluster contiguous slices into the sorted entry arrays."""
-        bounds = _block_bounds(self.rows, self.k)
-        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        bounds = np.searchsorted(self.rows, np.arange(self.k + 1))
+        return [slice(bounds[i], bounds[i + 1]) for i in range(self.k)]
 
 
 def cluster_weights(C: Clustering, rho) -> np.ndarray:

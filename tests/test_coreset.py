@@ -226,9 +226,9 @@ def test_extend_hands_its_outputs_to_the_clustering_uncopied(monkeypatch):
 
 
 def test_extend_peak_memory():
-    # At its peak a lift holds about six fine-size arrays: the ranks and one
-    # scratch buffer, then the three outputs and Clustering's check, whose
-    # np.bincount copies read-only inputs.  A temporary per step and copied
+    # At its peak a lift holds about four fine-size arrays: the ranks and one
+    # scratch buffer, then the three outputs and the sort keys of Clustering's
+    # check, which copies no read-only input.  A temporary per step and copied
     # outputs make it eleven, well above the bound.
     plan = plan_for((9, 9), (4, 4), k=4)
     C_tilde = Clustering.from_labels(4, np.arange(plan.tau.n) % 4)
