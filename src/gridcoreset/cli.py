@@ -120,6 +120,8 @@ def generate_instance(d: int, rho, k: int, seed: int,
     rho = as_resolution(rho)
     if rho.d != d:
         raise ValueError(f"rho has {rho.d} axes, expected d = {d}")
+    if k < 1:
+        raise ValueError(f"cluster count must be >= 1, got {k}")
     if k > rho.n:
         raise ValueError(f"cluster count {k} exceeds point count {rho.n}")
     pts = coords_array(rho)
@@ -154,14 +156,6 @@ def generate_instance(d: int, rho, k: int, seed: int,
     return Instance(k=k, rho=rho, kappa=kappa, sites=sites, norms=norms, epsilon=epsilon)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 class _Reporter:
     """Collects ReportRows; writes them as CSV with a fixed header."""
 
@@ -179,18 +173,14 @@ class _Reporter:
         return row
 
     def write(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        writer.writerows([_fmt(row[f]) for f in CSV_FIELDS] for row in self.rows)
+        writer = csv.DictWriter(fh, CSV_FIELDS)
+        writer.writeheader()
+        writer.writerows(self.rows)
 
     def save(self, path) -> None:
         with open(path, "w", newline="") as fh:
             self.write(fh)
         print(f"wrote {path} ({len(self.rows)} rows)")
-
-
-def _row_to_stderr(row: dict) -> None:
-    csv.writer(sys.stderr, lineterminator="\n").writerow(_fmt(row[f]) for f in CSV_FIELDS)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -329,7 +319,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         reporter.save(args.out)
     if bad is not None:
-        _row_to_stderr(bad)
+        csv.DictWriter(sys.stderr, CSV_FIELDS, lineterminator="\n").writerow(bad)
         return 3
     checks = sorted({r["check"] for r in reporter.rows})
     print(f"verified {args.trials} trials ({', '.join(checks)}): all passed")

@@ -107,6 +107,12 @@ def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
     )
 
 
+def _check_plan(instance: Instance, plan: CoresetPlan) -> None:
+    if plan.rho != instance.rho:
+        raise ValueError(f"plan is for rho={plan.rho.exponents}, "
+                         f"the instance grid is rho={instance.rho.exponents}")
+
+
 def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     """Lift a coarse clustering to X(rho): every point inherits its batch's fractions.
 
@@ -163,6 +169,7 @@ def verify_property_a(C_tilde: Clustering, sites, instance: Instance,
     clustering with unit column sums and every site family.  Isotropic only:
     the offset does not see the norm matrices.
     """
+    _check_plan(instance, plan)
     if instance.norms is not None:
         raise ValueError("the offset identity is isotropic only")
     lifted = cost_sites(extend(C_tilde, plan), sites, plan.rho)
@@ -178,6 +185,7 @@ def verify_property_b(sites, instance: Instance,
     (1 + eps) * cost(X, S) - (cost(X(tau), S) + delta) is nonnegative, up to
     PROPERTY_B_TOL, whenever plan.tau is make_plan's default.
     """
+    _check_plan(instance, plan)
     if instance.norms is not None:
         raise ValueError("the coreset guarantee is isotropic only")
     fine = solve_assignment(instance, sites=sites)
@@ -204,6 +212,7 @@ def solve_coarse(instance: Instance, sites=None, *, plan: CoresetPlan) -> Coarse
     machinery) is the coarse cost plus lift_offset, with no fine-grid pass.
     The plan, and with it epsilon, is the caller's choice.
     """
+    _check_plan(instance, plan)
     sites = site_array(instance.sites if sites is None else sites, instance.k, instance.d)
     euclid = instance if instance.norms is None else Instance(
         k=instance.k, rho=instance.rho, kappa=instance.kappa, epsilon=instance.epsilon,

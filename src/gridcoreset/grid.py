@@ -88,14 +88,13 @@ def voxel_volume(rho) -> Fraction:
 
 
 def coords_array(rho) -> np.ndarray:
-    """All n grid points as an (n, d) float64 array in row-major flat order."""
+    """All n grid points as a C-contiguous (n, d) float64 array in row-major flat order;
+    axis t holds the centers (j + 1/2) / 2^rho_t, exact in float64."""
     rho = as_resolution(rho)
-    axes = [
-        (2.0 * np.arange(1, m + 1) - 1.0) / (1 << (e + 1))
-        for m, e in zip(rho.axis_points, rho.exponents)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    out = np.empty((*rho.axis_points, rho.d))
+    for t, e in enumerate(rho.exponents):
+        out[..., t] = ((np.arange(1 << e) + 0.5) / (1 << e)).reshape((-1,) + (1,) * (rho.d - 1 - t))
+    return out.reshape(rho.n, rho.d)
 
 
 def merge_map(rho, tau) -> np.ndarray:

@@ -130,31 +130,7 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
     if not r <= rho:
         raise ValueError(f"solve resolution {r.exponents} not componentwise <= rho={rho.exponents}")
     s = site_array(instance.sites if sites is None else sites, instance.k, rho.d)
-    return _transport(instance, r, s, _cost_bits(instance, s))
-
-
-def _cost_bits(instance: Instance, s: np.ndarray) -> int:
-    """The cost_bits of every level of a solve: costs in units of 4^-bits, or 0 for float costs.
-
-    Exact integer costs when isotropic and every coordinate lies over
-    2^bits: grid points over 2^(rho_t+1) at any r <= rho, so every level
-    of a solve shares one cost unit; sites over their own (power-of-two)
-    denominators.  Sites within [-4, 4] keep coordinate differences below
-    5 * 2^bits, and the reduced costs then stay within int64: potentials
-    are alternating cost sums along tree paths, at most 2k+4 terms, each
-    at most 25 * d * 4^bits.
-    """
-    rho = instance.rho
-    bits = max([e + 1 for e in rho.exponents]
-               + [Fraction(v).denominator.bit_length() - 1 for v in s.flat])
-    if (instance.norms is None and bits <= MAX_COST_BITS and np.all(np.abs(s) <= 4)
-            and (2 * instance.k + 4) * 25 * rho.d * 4**bits < 2**62):
-        return bits
-    return 0
-
-
-def _transport(instance: Instance, r: Resolution, s: np.ndarray, bits: int) -> TransportProblem:
-    """build_transport at a checked resolution r, with sites s and cost unit bits given."""
+    bits = _cost_bits(instance, s)
     k = instance.k
     n = r.n
     if n * k > MAX_ARCS:
@@ -179,6 +155,26 @@ def _transport(instance: Instance, r: Resolution, s: np.ndarray, bits: int) -> T
         resolution=r, costs=costs, supply=supply, demands=demands,
         unit_bits=L, cost_bits=bits,
     )
+
+
+def _cost_bits(instance: Instance, s: np.ndarray) -> int:
+    """The cost_bits of every level of a solve: costs in units of 4^-bits, or 0 for float costs.
+
+    Exact integer costs when isotropic and every coordinate lies over
+    2^bits: grid points over 2^(rho_t+1) at any r <= rho, so every level
+    of a solve shares one cost unit; sites over their own (power-of-two)
+    denominators.  Sites within [-4, 4] keep coordinate differences below
+    5 * 2^bits, and the reduced costs then stay within int64: potentials
+    are alternating cost sums along tree paths, at most 2k+4 terms, each
+    at most 25 * d * 4^bits.
+    """
+    rho = instance.rho
+    bits = max([e + 1 for e in rho.exponents]
+               + [v.as_integer_ratio()[1].bit_length() - 1 for v in s.ravel().tolist()])
+    if (instance.norms is None and bits <= MAX_COST_BITS and np.all(np.abs(s) <= 4)
+            and (2 * instance.k + 4) * 25 * rho.d * 4**bits < 2**62):
+        return bits
+    return 0
 
 
 def _greedy_start(cost2d: np.ndarray, supply: int, demands):
@@ -444,24 +440,24 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
 
     Deterministic: fixed pivot and tie-break rules, and a ladder start that
     solves the levels below r first (every axis exponent above _LADDER_BASE,
-    which is 2, lowered by one per level), all in the cost unit that
-    build_transport decides for r; pivots counts all levels, and the
+    which is 2, lowered by one per level), each built by build_transport in
+    the one cost unit of rho and the sites; pivots counts all levels, and the
     "gridcoreset" logger gives one debug line per level.  When every kappa_i
     is an integer multiple of nu(r), the basic optimum is integer; in
     general at most 2(k-1) fractions are fractional.
     """
-    problem = build_transport(instance, resolution=resolution, sites=sites)
-    s = site_array(instance.sites if sites is None else sites, instance.k, instance.rho.d)
-    exps = problem.resolution.exponents
-    # Level m lowers each exponent above _LADDER_BASE by m, not below it, and
-    # starts from mu = -pi of level m + 1: C - mu sums 2k+5 costs, within int64.
-    # Every level prices in the top level's cost unit.
+    # The top level is built first, so a bad resolution or the arc cap fails
+    # before any solving.  Level m lowers each exponent above _LADDER_BASE by
+    # m, not below it, and starts from mu = -pi of level m + 1: C - mu sums
+    # 2k+5 costs, within int64.  Every level prices in the top level's unit.
+    top = build_transport(instance, resolution=resolution, sites=sites)
+    exps = top.resolution.exponents
     mu, pivots = 0, 0
-    for m in range(max(exps) - _LADDER_BASE, 0, -1):
-        level = as_resolution(tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps))
-        *_, pi_cl, p = _network_simplex(_transport(instance, level, s, problem.cost_bits), mu)
+    for m in range(max(max(exps) - _LADDER_BASE, 0), -1, -1):
+        level = tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps)
+        problem = build_transport(instance, level, sites) if m else top
+        owner, core, pi_cl, p = _network_simplex(problem, mu)
         mu, pivots = -pi_cl, pivots + p
-    owner, core, pi_cl, p = _network_simplex(problem, mu)
     k, n = problem.k, problem.n
     arcs, flows = _support(problem, owner, core)
     clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
@@ -493,7 +489,7 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
         fractional_count=clustering.fractional_count(),
         resolution=problem.resolution,
         dual_objective=dual_objective,
-        pivots=pivots + p,
+        pivots=pivots,
         exact=problem.exact,
     )
 

@@ -4,8 +4,9 @@ Everything here is computed from first principles with Fraction sums and
 brute-force enumeration, deliberately avoiding the package's own closed
 forms and vectorized identities.  Slow but exact; keep inputs small.
 argsort_extend (a lift by sorting) and restrict (a batch average by
-bincount) are the numpy references for the package's extend, and
-object_extraction (object-dtype sums) the one for the solver's results.
+bincount) are the numpy references for the package's extend,
+object_extraction (object-dtype sums) the one for the solver's results,
+and meshgrid_coords (meshgrid and stack) the one for grid coordinates.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def exact_indices(rho):
 def exact_points(rho):
     """All grid points in flat order, as tuples of Fractions."""
     return [exact_point(rho, j) for j in exact_indices(rho)]
+
+
+def meshgrid_coords(rho) -> np.ndarray:
+    """Grid points (2 j_t - 1) / 2^(rho_t + 1) by meshgrid and stack, as an (n, d) array."""
+    axes = [(2.0 * np.arange(1, 2**rt + 1) - 1.0) / 2 ** (rt + 1) for rt in rho]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def exact_volume(rho) -> Fraction:

@@ -149,9 +149,21 @@ def test_verify_deterministic_csv(tmp_path):
     assert header == ",".join(CSV_FIELDS)
 
 
+def test_report_fields_keep_numpy_scalars_plain():
+    # A numpy float64 field is written as its value, not as np.float64(...).
+    reporter = cli._Reporter("inst", 4)
+    reporter.add(cli.as_resolution((3,)), 0, "property_b",
+                 margin=np.float64(0.1), objective=0.25, fractional_count=np.int64(2))
+    out = io.StringIO()
+    reporter.write(out)
+    (row,) = csv.DictReader(io.StringIO(out.getvalue()))
+    assert (row["margin"], row["objective"], row["fractional_count"]) == ("0.1", "0.25", "2")
+    assert row["delta"] == "" and row["resolution"] == "3"
+
+
 # property_b fails for real at tau = 0; the other checks are made to fail.
 @pytest.mark.parametrize("check, fake", [
-    ("property_a", ("verify_property_a", lambda *a: (1.0, 0.0))),
+    ("property_a", ("verify_property_a", lambda *a: (np.float64(1.0), 0.0))),
     ("property_b", None),
     ("compatibility", ("check_compatibility",
                        lambda *a: SimpleNamespace(compatible=False, worst_violation=1.0))),
@@ -175,6 +187,8 @@ def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake):
     assert fields[CSV_FIELDS.index("check")] == check
     if check in ("property_b", "transfer"):
         assert float(fields[CSV_FIELDS.index("margin")]) < -1e-9
+    if check == "property_a":  # a numpy float64, written as its value
+        assert fields[CSV_FIELDS.index("margin")] == "1.0"
 
 
 def test_verify_anisotropic_transfer(tmp_path):
@@ -235,6 +249,8 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["verify", str(unbalanced)]) == 2
     assert main(["gen", "--d", "2", "--rho", "3", "--k", "2"]) == 2  # d mismatch
     capsys.readouterr()
+    assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "0"]) == 2
+    assert "error: cluster count must be >= 1, got 0" in capsys.readouterr().err
     report = tmp_path / "x.csv"
     for argv in (["verify", str(GOLDEN), "--trials", "-2", "--out", str(report)],
                  ["verify", str(GOLDEN), "--trials", "0"],

@@ -331,6 +331,18 @@ def test_property_a_rejects_anisotropic():
         verify_property_b(inst.sites, inst, plan)
 
 
+def test_plan_for_another_grid_is_rejected():
+    inst = Instance(k=2, rho=(6, 6), kappa=(0.5, 0.5), sites=[[0.2, 0.3], [0.7, 0.6]])
+    plan = make_plan(2, 0.5, (8, 8))
+    with pytest.raises(ValueError, match="plan is for rho"):
+        solve_coarse(inst, plan=plan)
+    with pytest.raises(ValueError, match="plan is for rho"):
+        verify_property_b(inst.sites, inst, plan)
+    with pytest.raises(ValueError, match="plan is for rho"):
+        verify_property_a(Clustering.from_labels(2, [0, 1] * (plan.tau.n // 2)),
+                          inst.sites, inst, plan)
+
+
 def test_property_b_margin_when_tau_is_rho():
     inst = Instance(k=2, rho=(4,), kappa=(0.5, 0.5), sites=[[0.3], [0.8]])
     plan = plan_for((4,), (4,))

@@ -1,5 +1,6 @@
 """Grid geometry: coordinates, merge maps, batch errors, the Huygens identity."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from exact_refs import (
     exact_points,
     exact_scatter,
     exact_volume,
+    meshgrid_coords,
 )
 
 # Small random resolutions keep brute-force references fast.
@@ -134,6 +136,21 @@ def test_coords_match_exact_reference(rho):
         # Flat order is numpy's row-major order of the 0-based multi-index.
         assert tuple(int(v) + 1 for v in np.unravel_index(flat, shape)) == j
         assert np.ravel_multi_index(tuple(jt - 1 for jt in j), shape) == flat
+
+
+def test_coords_match_meshgrid_reference():
+    # Every resolution up to total exponent 12 with d <= 3, zero axes included.
+    seen = 0
+    for d in (1, 2, 3):
+        for rho in itertools.product(range(13), repeat=d):
+            if sum(rho) > 12:
+                continue
+            pts, ref = coords_array(rho), meshgrid_coords(rho)
+            assert pts.dtype == ref.dtype and pts.shape == ref.shape
+            assert pts.flags.c_contiguous
+            assert pts.tobytes() == ref.tobytes(), rho
+            seen += 1
+    assert seen == 13 + 91 + 455
 
 
 @given(small_rho, st.data())

@@ -568,6 +568,38 @@ def test_ladder_levels_logged(caplog, monkeypatch):
     assert len(objectives) == 2 + 2 * len(levels)
 
 
+@pytest.mark.parametrize("inst, levels, bits", [
+    (solve_fine_instance((4, 3, 3), 8, True, 10), [(2, 2, 2), (3, 2, 2), (4, 3, 3)], 10),
+    (solve_fine_instance((4, 3, 3), 8, False, 11), [(2, 2, 2), (3, 2, 2), (4, 3, 3)], 0),
+    # A site over 2^-12 sets the cost unit of every level, not the grid.
+    (Instance(k=2, rho=(5,), kappa=(0.25, 0.75), sites=[[2.0**-12], [0.75]]),
+     [(2,), (3,), (4,), (5,)], 12),
+    (Instance(k=2, rho=(2, 1), kappa=(0.5, 0.5), sites=[[0.1, 0.2], [0.7, 0.9]]), [(2, 1)], 0),
+], ids=["exact", "float", "site-unit", "one-level"])
+def test_ladder_builds_every_level_through_build_transport(monkeypatch, inst, levels, bits):
+    # One build_transport call per level, the top level first; the simplex
+    # solves exactly those problems, coarsest first, all in the top level's
+    # cost unit.  So timing build_transport times every level's build.
+    built, solved = [], []
+    build, simplex = solver.build_transport, solver._network_simplex
+
+    def traced_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def traced_simplex(problem, mu=0):
+        solved.append(problem)
+        return simplex(problem, mu)
+
+    monkeypatch.setattr(solver, "build_transport", traced_build)
+    monkeypatch.setattr(solver, "_network_simplex", traced_simplex)
+    res = solve_assignment(inst)
+    assert [p.resolution.exponents for p in solved] == levels
+    assert list(map(id, built)) == list(map(id, solved[-1:] + solved[:-1]))
+    assert [p.cost_bits for p in solved] == [bits] * len(levels)
+    assert res.exact is (bits > 0)
+
+
 def _solve_with_ladder_base(inst, base):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_LADDER_BASE", base)
