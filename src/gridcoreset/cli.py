@@ -24,9 +24,9 @@ import numpy as np
 from .coreset import (PROPERTY_A_TOL, PROPERTY_B_TOL, CoresetPlan, make_plan,
                       size_report, solve_coarse, transfer_bound, verify_property_a,
                       verify_property_b)
-from .diagrams import check_compatibility, from_duals
+from .diagrams import PowerDiagram, check_compatibility, from_duals
 from .grid import Resolution, as_resolution, coords_array
-from .model import Clustering, Instance, NormFamily, cluster_weights, sq_dists
+from .model import Clustering, Instance, NormFamily, cluster_weights
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
 from .solver import PivotLimitError, solve_assignment
 
@@ -129,8 +129,7 @@ def generate_instance(d: int, rho, k: int, seed: int,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_GEN, attempt)))
         sites = rng.uniform(0.0, 1.0, size=(k, d))
         gammas = rng.uniform(0.0, 0.1, size=k)
-        powers = sq_dists(pts, sites)
-        powers += gammas[:, None]
+        powers = PowerDiagram(sites, gammas).powers(pts)
         counts = np.bincount(np.argmin(powers, axis=0), minlength=k)
         if np.all(counts > 0):
             break
@@ -167,7 +166,7 @@ class _Reporter:
     def add(self, resolution: Resolution, trial, check: str, **fields) -> dict:
         row = {f: None for f in CSV_FIELDS}
         row.update(instance_id=self.instance_id, seed=self.seed, trial=trial,
-                   resolution="x".join(str(e) for e in resolution.exponents),
+                   resolution=str(resolution),
                    check=check, **fields)
         self.rows.append(row)
         return row

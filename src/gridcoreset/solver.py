@@ -18,12 +18,13 @@ theorems and least-squares clustering", 1998).  A pivot therefore costs one
 O(kn) numpy pricing pass plus O(k) work on the core.
 
 Entering arcs follow Dantzig's rule with a fixed deterministic tie order
-(lowest cluster index, then lowest point index); after a long run of
-degenerate pivots it falls back to Bland's rule (lowest eligible arc index)
-until progress resumes.  Leaving arcs are chosen to keep the spanning tree
-strongly feasible, which rules out cycling.  When every cost is exactly
-representable over a small power-of-four denominator (dyadic sites,
-Euclidean norm), pricing runs in 64-bit integers and the optimum is exact.
+(lowest cluster index, then lowest point index).  Leaving arcs are chosen
+to keep the spanning tree strongly feasible, which rules out cycling and
+so guarantees termination whatever the entering rule (Cunningham, "A
+network simplex method", 1976; Ahuja, Magnanti and Orlin, "Network Flows",
+1993, section 11.5).  When every cost is exactly representable over a
+small power-of-four denominator (dyadic sites, Euclidean norm), pricing
+runs in 64-bit integers and the optimum is exact.
 
 Every solve climbs a coarse-to-fine resolution ladder, as in Merigot, "A
 multiscale approach to optimal transport" (2011), and Schmitzer, "A sparse
@@ -43,7 +44,6 @@ import logging
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,9 +58,6 @@ MAX_COST_BITS = 26
 
 # Relative pricing tolerance in float mode.
 ENTER_TOL = 1e-11
-
-# Degenerate-pivot streak after which entering switches to Bland's rule.
-_BLAND_AFTER = 1000
 
 # Ladder floor: the coarser level of a solve lowers every axis exponent
 # above this by one.
@@ -344,15 +341,13 @@ def _network_simplex(problem: TransportProblem, mu=0):
     tol = 0 if problem.exact else ENTER_TOL * max(1.0, float(problem.costs.max(initial=0.0)))
     rc = np.empty((k, n), dtype=C2.dtype)
     pivots = 0
-    degenerate_streak = 0
     max_pivots = 1000 + 200 * (n + k) * max(4, k)
     while True:
-        # Pricing: Dantzig, or Bland (lowest eligible arc) after a long
-        # degenerate streak.
+        # Pricing: Dantzig's rule, the most negative reduced cost.
         np.subtract(pi_cl[:, None], (pi_cl[owner] + own)[None, :], out=rc)
         np.add(rc, C2, out=rc)
         flat = rc.ravel()
-        a = int(np.argmax(flat < -tol) if degenerate_streak >= _BLAND_AFTER else np.argmin(flat))
+        a = int(np.argmin(flat))
         if not flat[a] < -tol:
             break
         pivots += 1
@@ -380,7 +375,6 @@ def _network_simplex(problem: TransportProblem, mu=0):
         for arc, node in reversed(cycle):
             if tail(arc) != node and core[arc] < delta:
                 delta, out = core[arc], arc
-        degenerate_streak = degenerate_streak + 1 if delta == 0 else 0
         if delta:
             for arc, node in cycle:
                 core[arc] += delta if tail(arc) == node else -delta
@@ -432,7 +426,7 @@ def _objective(problem: TransportProblem, arcs, flows) -> float:
     if problem.exact:
         total = sum(map(operator.mul, flows.tolist(), costs.tolist()))
         return total / (1 << (problem.unit_bits + 2 * problem.cost_bits))
-    return float(Fraction(1, 1 << problem.unit_bits)) * float(np.dot(flows.astype(np.float64), costs))
+    return 2.0 ** -problem.unit_bits * float(np.dot(flows.astype(np.float64), costs))
 
 
 def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
@@ -465,22 +459,21 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
 
     # Dual objective and duals mu_i = pi_1 - pi_i: in Python integers over
     # 2^-unit_bits 4^-cost_bits on the exact path, each rounded once (int / int
-    # is correctly rounded); in float64 otherwise.
+    # is correctly rounded); in float64 otherwise, where scale is 1 and the
+    # duals are the float differences themselves.
     pi_pts = pi_cl[owner] + problem.costs[owner, np.arange(n)]
+    pi = pi_cl.tolist()
+    mu = [pi[0] - v for v in pi]
+    scale = 1 << (2 * problem.cost_bits)
+    duals = tuple(v / scale for v in mu)
     if problem.exact:
-        pi = pi_cl.tolist()
-        mu = [pi[0] - v for v in pi]
         dual = (problem.supply * (sum(pi_pts.tolist()) - n * pi[0])
                 + sum(map(operator.mul, problem.demands, mu)))
-        scale = 1 << (2 * problem.cost_bits)
         dual_objective = dual / (scale << problem.unit_bits)
-        duals = tuple(v / scale for v in mu)
     else:
-        mu = pi_cl[0] - pi_cl
         dual = (problem.supply * np.sum(pi_pts - pi_cl[0])
                 + np.dot(np.array(problem.demands, dtype=np.float64), mu))
-        dual_objective = float(float(Fraction(1, 1 << problem.unit_bits)) * dual)
-        duals = tuple(mu.tolist())
+        dual_objective = float(2.0 ** -problem.unit_bits * dual)
 
     return SolveResult(
         clustering=clustering,

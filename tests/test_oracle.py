@@ -30,6 +30,13 @@ def test_opt1d_frozen():
     assert opt1d_dp(3, 2).cost == 0.01953125
 
 
+def test_opt1d_cost_rounds_once_at_the_cap():
+    # At rho = 11 the unit is 2^-35; the cost is the units rounded once.
+    for k in (2, 3, 5, 8):
+        res = opt1d_dp(11, k)
+        assert res.cost == float(Fraction(res.units, 2**35))
+
+
 def test_opt1d_closed_frozen():
     assert opt1d_closed(5, 1) == float(Fraction(255, 12288))
     assert opt1d_closed(3, 3) == 0.0

@@ -348,20 +348,6 @@ def _fixture_instances():
     return [instance_from_dict(doc) for doc in cases]
 
 
-def test_bland_pricing_matches_dantzig(monkeypatch):
-    instances = _fixture_instances()
-    dantzig = [solve_assignment(inst) for inst in instances]
-    monkeypatch.setattr(solver, "_BLAND_AFTER", 0)
-    for inst, ref in zip(instances, dantzig):
-        res = solve_assignment(inst)
-        assert res.objective == ref.objective
-        assert res.fractional_count <= 2 * (inst.k - 1)
-        report = check_compatibility(res.clustering, from_duals(inst.sites, res.duals), inst.rho)
-        assert report.compatible, report.worst_violation
-        if res.exact:
-            assert res.objective == res.dual_objective
-
-
 def assert_basis_potentials(inst):
     # The in-place core tree against a rebuild of the final basis; a cold
     # start makes the most pivots.
@@ -371,12 +357,6 @@ def assert_basis_potentials(inst):
 
 
 def test_basis_potentials_on_fixtures():
-    for inst in _fixture_instances():
-        assert_basis_potentials(inst)
-
-
-def test_basis_potentials_under_bland(monkeypatch):
-    monkeypatch.setattr(solver, "_BLAND_AFTER", 0)
     for inst in _fixture_instances():
         assert_basis_potentials(inst)
 
