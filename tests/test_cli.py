@@ -21,10 +21,12 @@ from gridcoreset.cli import (
     main,
     save_instance,
 )
+from gridcoreset.diagrams import check_compatibility
 from gridcoreset.model import Instance, NormFamily
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "instances" / "gen_d1_rho3_k2_seed0.json"
+GOLDEN_COARSE = FIXTURES / "instances" / "gen_d2_rho6x6_k2_seed0.json"  # plans tau = 4x4
 
 
 def test_parse_axes_forms():
@@ -129,6 +131,36 @@ def test_coarsen_reports_plan(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["plan"]["delta"] == [0, 1]
     assert doc["plan"]["tau"] == [3]
+
+
+def test_verify_golden_csv_below_full_resolution(tmp_path):
+    # The golden files were written before verify shared work between equal grids.
+    inst = tmp_path / "gen_d2_rho6x6_k2_seed0.json"
+    assert main(["gen", "--d", "2", "--rho", "6,6", "--k", "2", "--seed", "0",
+                 "--out", str(inst)]) == 0
+    assert inst.read_bytes() == GOLDEN_COARSE.read_bytes()
+    out = tmp_path / "r.csv"
+    assert main(["verify", str(inst), "--trials", "3", "--seed", "4", "--out", str(out)]) == 0
+    golden = FIXTURES / "verify" / "gen_d2_rho6x6_k2_seed0_trials3_seed4.csv"
+    assert out.read_bytes() == golden.read_bytes()
+    assert {r["resolution"] for r in csv.DictReader(out.open())} == {"6x6", "4x4"}
+
+
+@pytest.mark.parametrize("instance, calls", [(GOLDEN, 1), (GOLDEN_COARSE, 2)])
+def test_verify_certifies_each_distinct_solve_once(tmp_path, monkeypatch, instance, calls):
+    # GOLDEN plans tau = rho, so its fine and coarse solves are one result.
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return check_compatibility(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_compatibility", counting)
+    out = tmp_path / "r.csv"
+    assert main(["verify", str(instance), "--trials", "1", "--out", str(out)]) == 0
+    assert len(seen) == calls
+    rows = [r for r in csv.DictReader(out.open()) if r["check"] == "compatibility"]
+    assert len(rows) == 2
 
 
 def test_verify_deterministic_csv(tmp_path):

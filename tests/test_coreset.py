@@ -351,6 +351,44 @@ def test_property_b_margin_when_tau_is_rho():
     assert abs(margin - 0.5 * fine.objective) <= 1e-15
 
 
+def _assert_same_solve(got, cold):
+    assert got.objective == cold.objective
+    assert repr(got.duals) == repr(cold.duals)
+    assert got.dual_objective == cold.dual_objective
+    assert (got.pivots, got.exact, got.fractional_count, got.resolution) == \
+        (cold.pivots, cold.exact, cold.fractional_count, cold.resolution)
+    for field in ("rows", "cols", "vals"):
+        a, b = getattr(got.clustering, field), getattr(cold.clustering, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# Dyadic sites take the exact integer path; the others price in floats.
+SITES_BY_PATH = {True: [[0.25, 0.5], [0.75, 0.125], [0.5, 0.875]],
+                 False: [[0.21, 0.53], [0.77, 0.14], [0.48, 0.86]]}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_property_b_solves_once_when_tau_is_rho(exact):
+    inst = Instance(k=3, rho=(3, 3), kappa=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    plan = make_plan(3, 0.5, inst.rho)
+    assert plan.tau == plan.rho and plan.clamped
+    sites = np.array(SITES_BY_PATH[exact])
+    _, fine, coarse = verify_property_b(sites, inst, plan)
+    assert coarse is fine and fine.exact is exact
+    _assert_same_solve(fine, solve_assignment(inst, resolution=plan.tau, sites=sites))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_property_b_solves_both_when_tau_is_below_rho(exact):
+    inst = Instance(k=3, rho=(5, 5), kappa=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    plan = make_plan(3, 0.5, inst.rho, tau=(3, 3))
+    sites = np.array(SITES_BY_PATH[exact])
+    _, fine, coarse = verify_property_b(sites, inst, plan)
+    assert coarse is not fine and fine.exact is exact
+    _assert_same_solve(fine, solve_assignment(inst, sites=sites))
+    _assert_same_solve(coarse, solve_assignment(inst, resolution=plan.tau, sites=sites))
+
+
 def test_property_b_margin_at_target():
     rng = np.random.default_rng(3)
     inst = Instance(k=2, rho=(6,), kappa=(0.5, 0.5), epsilon=0.5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcoreset import oracle
 from gridcoreset.model import Instance, Clustering, cost_sites
 from gridcoreset.oracle import (
     MAX_BRUTE_CLUSTERS,
@@ -19,7 +20,7 @@ from gridcoreset.oracle import (
 )
 from gridcoreset.solver import solve_assignment
 
-from exact_refs import exact_points, exact_scatter, exact_volume
+from exact_refs import exact_points, exact_scatter, exact_volume, full_dp_layers
 
 
 def test_opt1d_frozen():
@@ -28,6 +29,23 @@ def test_opt1d_frozen():
     assert res.sizes == (4, 4, 4, 4)
     assert res.centroids == (0.125, 0.375, 0.625, 0.875)
     assert opt1d_dp(3, 2).cost == 0.01953125
+
+
+def test_dp_layers_match_full_table(monkeypatch):
+    # Rows past l = n - c + 1 never hold a layer's minimum; skipping them changes no entry.
+    monkeypatch.setattr(oracle, "_dp_tables", {})
+    for rho in range(9):
+        n = 1 << rho
+        F, parent = full_dp_layers(rho, n)
+        for k in sorted({1, 3, n // 2, n} & set(range(1, n + 1))):  # grown lazily, as by opt1d_dp
+            state = oracle._dp_layers(rho, k)
+        assert state["parent"][0] is None and len(state["F"]) == n + 1
+        for c in range(n + 1):
+            np.testing.assert_array_equal(state["F"][c], F[c])
+            assert state["F"][c].dtype == F[c].dtype
+            if c:
+                np.testing.assert_array_equal(state["parent"][c], parent[c])
+                assert state["parent"][c].dtype == np.int16
 
 
 def test_opt1d_cost_rounds_once_at_the_cap():
