@@ -164,10 +164,8 @@ class _Reporter:
         self.rows: list[dict] = []
 
     def add(self, resolution: Resolution, trial, check: str, **fields) -> dict:
-        row = {f: None for f in CSV_FIELDS}
-        row.update(instance_id=self.instance_id, seed=self.seed, trial=trial,
-                   resolution=str(resolution),
-                   check=check, **fields)
+        row = dict(instance_id=self.instance_id, seed=self.seed, trial=trial,
+                   resolution=str(resolution), check=check, **fields)
         self.rows.append(row)
         return row
 
@@ -182,8 +180,11 @@ class _Reporter:
         print(f"wrote {path} ({len(self.rows)} rows)")
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_TRIAL, trial)))
+def _trials(inst: Instance, seed: int, trials: int):
+    """(t, rng, sites) per trial t: the trial's own substream, after the k sites drawn from it."""
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_TRIAL, t)))
+        yield t, rng, rng.uniform(0.0, 1.0, size=(inst.k, inst.d))
 
 
 def _cmd_gen(args) -> int:
@@ -261,9 +262,7 @@ def _random_stochastic(rng, k: int, n: int) -> Clustering:
 
 
 def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        sites = rng.uniform(0.0, 1.0, size=(inst.k, inst.d))
+    for t, rng, sites in _trials(inst, seed, trials):
         c_tilde = _random_stochastic(rng, inst.k, plan.tau.n)
         resid, lifted = verify_property_a(c_tilde, sites, inst, plan)
         bound = PROPERTY_A_TOL * (1.0 + lifted)
@@ -293,10 +292,8 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
 
 
 def _verify_anisotropic(inst, plan, reporter, trials, seed) -> dict | None:
-    factor = transfer_bound(1.0, plan.epsilon, inst.norms)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        sites = rng.uniform(0.0, 1.0, size=(inst.k, inst.d))
+    factor = transfer_bound(plan.epsilon, inst.norms)
+    for t, _, sites in _trials(inst, seed, trials):
         best = solve_assignment(inst, sites=sites)
         lifted = solve_coarse(inst, sites=sites, plan=plan)
         bound = factor * best.objective
@@ -330,9 +327,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     inst, plan = _load_plan(args)
     reporter = _Reporter(Path(args.instance).stem, args.seed)
-    for t in range(args.trials):
-        rng = _trial_rng(args.seed, t)
-        sites = rng.uniform(0.0, 1.0, size=(inst.k, inst.d))
+    for t, _, sites in _trials(inst, args.seed, args.trials):
         t0 = time.perf_counter()
         fine = solve_assignment(inst, sites=sites)
         t_full = time.perf_counter() - t0
@@ -442,7 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PivotLimitError as exc:

@@ -129,9 +129,9 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
         return C_tilde
     rows, cols = C_tilde.rows, C_tilde.cols
     batch = rho.n // tau.n
-    # Batch offsets run innermost, entries when batches are tiny: long numpy inner loops.
-    ent, off = ((-1, 1), (1, -1)) if batch >= 8 else ((1, -1), (-1, 1))
-    base, fbase, fine, outer = np.arange(rows.size), 0, 0, []  # per-entry, per-offset parts
+    # (entries, batch offsets) arrays with the offsets innermost: per-entry
+    # parts are columns, per-offset parts rows.
+    base, fbase, fine, outer = np.arange(rows.size), 0, 0, []
     q, s, f = batch, tau.n, rho.n  # fine points per batch, coarse and fine grid sizes
     for re, te in zip(rho.exponents, tau.exponents):
         r, s, f = 1 << (re - te), s >> te, f >> re
@@ -141,18 +141,18 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
             starts = np.flatnonzero(np.diff(key, prepend=-1))
             counts = np.diff(starts, append=key.size)
             base, q = base + (q - q // r) * np.repeat(starts, counts), q // r
-            step = (np.arange(batch) // q % r).reshape(off)
-            outer.append(((q * np.repeat(counts, counts)).reshape(ent), step))
+            step = np.arange(batch) // q % r
+            outer.append(((q * np.repeat(counts, counts))[:, None], step))
             fine = fine + step * f
     # rank = base + the outer products, built in place with one scratch buffer.
     rank = np.multiply(*outer[0])
-    rank += base.reshape(ent)
+    rank += base[:, None]
     tmp = np.empty_like(rank)
     for per_entry, step in outer[1:]:
         rank += np.multiply(per_entry, step, out=tmp)
     lifted, vals = np.empty(rank.size, dtype=np.int64), np.empty(rank.size)
-    lifted[rank] = np.add(fbase.reshape(ent), fine, out=tmp)
-    vals[rank] = C_tilde.vals.reshape(ent)
+    lifted[rank] = np.add(fbase[:, None], fine, out=tmp)
+    vals[rank] = C_tilde.vals[:, None]
     del rank, tmp
     rows = np.repeat(rows, batch)
     for arr in (rows, lifted, vals):  # read-only, so Clustering shares them
@@ -226,18 +226,16 @@ def solve_coarse(instance: Instance, sites=None, *, plan: CoresetPlan) -> Coarse
                        extended_cost=cost + lift_offset(plan, instance.kappa, instance.norms))
 
 
-def transfer_bound(gamma: float, epsilon, norms: NormFamily) -> float:
+def transfer_bound(epsilon, norms: NormFamily) -> float:
     """Approximation factor carried from the Euclidean solve to anisotropic costs.
 
-    A gamma-approximate clustering of the Euclidean problem is a
-    (1 + eps) * gamma * lambda+ / lambda- approximation under the norm
-    family, because each squared norm is sandwiched by the extreme
-    eigenvalues times the Euclidean one.
+    The lifted optimum of the Euclidean coreset problem is a
+    (1 + eps) * lambda+ / lambda- approximation under the norm family,
+    because each squared norm is sandwiched by the extreme eigenvalues
+    times the Euclidean one.
     """
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
     eps = float(_exact_epsilon(epsilon))
-    return (1.0 + eps) * gamma * norms.lambda_max / norms.lambda_min
+    return (1.0 + eps) * norms.lambda_max / norms.lambda_min
 
 
 def _cube_root_exact(x: Fraction) -> Fraction | None:

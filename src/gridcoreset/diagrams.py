@@ -48,10 +48,6 @@ class PowerDiagram:
     def k(self) -> int:
         return self.sites.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.sites.shape[1]
-
     def powers(self, points) -> np.ndarray:
         """Power distances of an (m, d) point array as a (k, m) matrix."""
         out = sq_dists(np.asarray(points, dtype=np.float64), self.sites)

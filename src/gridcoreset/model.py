@@ -116,11 +116,10 @@ class Instance:
     """A weight-constrained clustering instance on the grid X(rho).
 
     kappa entries must be positive dyadic rationals summing to exactly 1.
-    They are usually integer multiples of the voxel volume nu(rho); the
-    relaxed dyadic form is accepted so that coarse-level instances (whose
-    weights live on the finer source grid) and split examples validate too.
-    kappa_on_grid records whether the strict multiple-of-nu(rho) form holds,
-    which is exactly the condition for an integer optimal assignment.
+    They are usually integer multiples of the voxel volume nu(rho), which is
+    exactly the condition for an integer optimal assignment; the relaxed
+    dyadic form is accepted so that coarse-level instances (whose weights
+    live on the finer source grid) and split examples validate too.
     """
 
     k: int
@@ -131,7 +130,6 @@ class Instance:
     epsilon: float = 0.5
     kappa_bits: int = field(init=False)
     kappa_units: tuple[int, ...] = field(init=False)
-    kappa_on_grid: bool = field(init=False)
 
     def __post_init__(self):
         rho = as_resolution(self.rho)
@@ -152,13 +150,9 @@ class Instance:
             raise ValueError(
                 f"cluster weights must sum to exactly 1, got {sum(units)}/2^{bits}"
             )
-        # Weights on the instance grid iff every kappa_i is a multiple of nu(rho).
-        excess = max(0, bits - sum(rho.exponents))
-        on_grid = all(u % (1 << excess) == 0 for u in units)
         object.__setattr__(self, "kappa", tuple(u / (1 << bits) for u in units))
         object.__setattr__(self, "kappa_bits", bits)
         object.__setattr__(self, "kappa_units", units)
-        object.__setattr__(self, "kappa_on_grid", on_grid)
 
         if self.sites is not None:
             sites = site_array(self.sites, k, rho.d)
@@ -241,12 +235,6 @@ class Clustering:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_entries(cls, k: int, n: int, entries) -> "Clustering":
-        entries = list(entries)
-        return cls(k=k, n=n, rows=[e[0] for e in entries], cols=[e[1] for e in entries],
-                   vals=[e[2] for e in entries])
-
-    @classmethod
     def from_labels(cls, k: int, labels) -> "Clustering":
         labels = np.asarray(labels).ravel()
         n = labels.size
@@ -259,11 +247,6 @@ class Clustering:
         rows, cols = np.nonzero(mat > 0.0)
         return cls(k=mat.shape[0], n=mat.shape[1], rows=rows, cols=cols,
                    vals=mat[rows, cols])
-
-    def to_dense(self) -> np.ndarray:
-        mat = np.zeros((self.k, self.n), dtype=np.float64)
-        mat[self.rows, self.cols] = self.vals
-        return mat
 
     def fractional_count(self) -> int:
         return int(np.count_nonzero(self.vals < 1.0))

@@ -69,11 +69,9 @@ def _dp_layers(rho: int, k: int) -> dict:
     Layer c needs runs l <= n - c + 1 only: the first rows of one shared buffer.
     """
     n = 1 << rho
-    state = _dp_tables.setdefault(rho, {"F": None, "parent": [None]})
-    if state["F"] is None:
-        base = np.full(n + 1, _INF, dtype=np.int64)
-        base[0] = 0
-        state["F"] = [base]
+    if rho not in _dp_tables:  # layer 0: no points at cost 0, any other count impossible
+        _dp_tables[rho] = {"F": [np.append(0, np.full(n, _INF, dtype=np.int64))], "parent": [None]}
+    state = _dp_tables[rho]
     ic = _interval_units(rho)
     buf = np.empty((n, n + 1), dtype=np.int64)  # pages are touched only as rows fill
     for c in range(len(state["F"]), k + 1):
@@ -175,7 +173,8 @@ def brute_force_constrained(instance: Instance, sites=None) -> BruteForceResult:
 
     Enumerates every label vector (first lexicographic minimizer wins), so
     it is exact by construction and independent of the LP solver.  Requires
-    weights that are integer multiples of the voxel volume.
+    weights that are integer multiples of the voxel volume; those give
+    counts >= 1 summing to n >= k, so some label vector meets them.
     """
     rho = instance.rho
     n, k = rho.n, instance.k
@@ -183,13 +182,11 @@ def brute_force_constrained(instance: Instance, sites=None) -> BruteForceResult:
         raise ValueError(f"brute force handles at most {MAX_BRUTE_POINTS} points, got {n}")
     if k > MAX_BRUTE_CLUSTERS:
         raise ValueError(f"brute force handles at most {MAX_BRUTE_CLUSTERS} clusters, got {k}")
-    if not instance.kappa_on_grid:
+    target = [Fraction(u, 1 << instance.kappa_bits) * n for u in instance.kappa_units]
+    if any(t.denominator != 1 for t in target):
         raise ValueError("weights must be integer multiples of the voxel volume")
     s = site_array(instance.sites if sites is None else sites, k, rho.d)
-
-    target = [Fraction(u, 1 << instance.kappa_bits) * n for u in instance.kappa_units]
     counts_needed = np.array([int(t) for t in target], dtype=np.int64)
-    assert all(t.denominator == 1 for t in target)
 
     nu = float(voxel_volume(rho))
     cost_pt = sq_dists(coords_array(rho), s,
@@ -197,10 +194,7 @@ def brute_force_constrained(instance: Instance, sites=None) -> BruteForceResult:
 
     labels = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64)
     counts = (labels[:, :, None] == np.arange(k)).sum(axis=1)
-    feasible = np.all(counts == counts_needed, axis=1)
-    if not np.any(feasible):
-        raise ValueError("no integer clustering meets the weights")
-    cand = labels[feasible]
+    cand = labels[np.all(counts == counts_needed, axis=1)]
     costs = nu * cost_pt[cand, np.arange(n)].sum(axis=1)
     best = int(np.argmin(costs))
     return BruteForceResult(

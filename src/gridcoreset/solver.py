@@ -267,14 +267,15 @@ def _network_simplex(problem: TransportProblem, mu=0):
       the clusters and at most k-1 split points.
 
     Potentials satisfy pi[root] = 0 and zero reduced cost on basic arcs.
-    The core tree (parents up, children kids, potentials pot) is built once
-    and updated in place: a pivot reverses the parent arcs from the entering
-    arc's end inside the subtree that the leaving arc cuts off up to that
-    arc, and recomputes potentials top-down in that subtree only, by the same
+    The core tree (parents up, children kids) is built once and updated in
+    place: a pivot reverses the parent arcs from the entering arc's end
+    inside the subtree that the leaving arc cuts off up to that arc, and
+    recomputes potentials top-down in that subtree only, by the same
     parent-plus-or-minus-cost recurrence, so each stays the same sum along
     its root path.  owner[j] of a split point is its core parent, and
     own[j] = C[owner[j], j] changes only with it, so every point potential
-    is pi_cl[owner] + own, one vector op ahead of pricing.
+    is pi_cl[owner] + own, one vector op ahead of pricing; the cluster
+    potentials pi_cl are the only ones stored.
 
     Returns the final basis and its duals as (owner, core, pi_cl, pivots);
     core maps every core arc, artificial and zero-flow ones included, to its
@@ -294,24 +295,19 @@ def _network_simplex(problem: TransportProblem, mu=0):
     start = _objective(problem, *_support(problem, owner, core)) if logging_on else None
     own = C2[owner, cols]                          # C[owner[j], j]
     pi_cl = np.zeros(k, dtype=C2.dtype)
-    up, kids, pot = {root: (-1, -1)}, defaultdict(set), {root: 0}
+    up, kids = {root: (-1, -1)}, defaultdict(set)
 
     def link(v, u, arc):
         up[v] = (u, arc)
         kids[u].add(v)
 
     def price(v):
-        # Potential of v from its core parent's.
+        # Potential of v from its core parent u's; a split point u's is pi_cl[owner[u]] + own[u].
         u, arc = up[v]
-        if arc >= e:
-            pot[v] = pot[u]
-        elif v >= n:
-            pot[v] = pot[u] - cost(arc)            # cluster below its split point
-        else:
-            pot[v] = pot[u] + cost(arc)            # split point below a cluster
+        if v < n:
             owner[v], own[v] = u - n, cost(arc)
-        if v >= n:
-            pi_cl[v - n] = pot[v]
+        else:
+            pi_cl[v - n] = 0 if arc >= e else pi_cl[owner[u]] + own[u] - cost(arc)
 
     nbrs = defaultdict(list)
     for arc in core:

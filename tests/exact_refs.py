@@ -8,7 +8,8 @@ bincount) are the numpy references for the package's extend,
 object_extraction (object-dtype sums) the one for the solver's results,
 meshgrid_coords (meshgrid and stack) the one for grid coordinates, and
 full_dp_layers (every run length in every layer) the one for the oracle's
-interval DP tables.
+interval DP tables.  from_entries and to_dense build and read clusterings
+entry by entry and as dense matrices.
 """
 
 from __future__ import annotations
@@ -140,6 +141,20 @@ def exact_delta(rho, tau) -> Fraction:
         _, scatter = exact_scatter(pts, wts)
         total += scatter
     return total
+
+
+def from_entries(k, n, entries) -> Clustering:
+    """A Clustering from (cluster, point, fraction) triples."""
+    entries = list(entries)
+    return Clustering(k=k, n=n, rows=[e[0] for e in entries], cols=[e[1] for e in entries],
+                      vals=[e[2] for e in entries])
+
+
+def to_dense(C) -> np.ndarray:
+    """The (k, n) fraction matrix of a Clustering."""
+    mat = np.zeros((C.k, C.n), dtype=np.float64)
+    mat[C.rows, C.cols] = C.vals
+    return mat
 
 
 def clustering_entries(C):

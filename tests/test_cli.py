@@ -223,6 +223,40 @@ def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake):
         assert fields[CSV_FIELDS.index("margin")] == "1.0"
 
 
+def _trial_instance(tmp_path, anisotropic):
+    if not anisotropic:
+        return GOLDEN_COARSE
+    path = tmp_path / "aniso.json"
+    assert main(["gen", "--d", "2", "--rho", "4,4", "--k", "2", "--seed", "3",
+                 "--anisotropy", "1,5", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("anisotropic", [False, True], ids=["isotropic", "anisotropic"])
+def test_adding_trials_keeps_earlier_rows(tmp_path, anisotropic):
+    path = _trial_instance(tmp_path, anisotropic)
+    two, three = tmp_path / "2.csv", tmp_path / "3.csv"
+    for trials, out in (("2", two), ("3", three)):
+        assert main(["verify", str(path), "--trials", trials, "--seed", "5",
+                     "--out", str(out)]) == 0
+    short, full = two.read_bytes(), three.read_bytes()
+    assert len(full) > len(short) and full.startswith(short)
+
+
+@pytest.mark.parametrize("anisotropic", [False, True], ids=["isotropic", "anisotropic"])
+def test_bench_solves_the_sites_verify_draws(tmp_path, anisotropic):
+    path = _trial_instance(tmp_path, anisotropic)
+    reports = {}
+    for command in ("verify", "bench"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, str(path), "--trials", "3", "--seed", "5", "--out", str(out)]) == 0
+        reports[command] = list(csv.DictReader(out.open()))
+    verified = [(r["trial"], r["objective"]) for r in reports["verify"]
+                if r["check"] in ("property_b", "transfer")]
+    full = [(r["trial"], r["objective"]) for r in reports["bench"][::2]]  # full, then coarse
+    assert verified == full and [t for t, _ in full] == ["0", "1", "2"]
+
+
 def test_verify_anisotropic_transfer(tmp_path):
     inst_path = tmp_path / "aniso.json"
     main(["gen", "--d", "2", "--rho", "4,4", "--k", "2", "--seed", "3",
@@ -371,6 +405,24 @@ def test_malformed_instance_files_exit_2(tmp_path, capsys, doc):
         load_instance(path)
     assert main(["solve", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", D_MISMATCH], "d = 2 does not match rho with 1 axes"),
+    (["gen", "--d", "1", "--rho", "2", "--k", "5"], "cluster count 5 exceeds point count 4"),
+    (["gen", "--d", "1", "--rho", "3", "--k", "8"], "no nonempty-cell draw in 100 attempts"),
+    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "3,1"],
+     "anisotropy range must satisfy 0 < lo <= hi, got 3.0, 1.0"),
+], ids=["file-d-mismatch", "gen-k-above-n", "gen-draws-exhausted", "gen-anisotropy-reversed"])
+def test_rejected_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / D_MISMATCH).write_text(json.dumps(_golden_with(d=2)))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [D_MISMATCH]  # gen wrote nothing
 
 
 def test_pivot_cap_exits_3(monkeypatch, capsys):

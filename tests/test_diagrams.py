@@ -16,12 +16,16 @@ from gridcoreset.grid import coords_array
 from gridcoreset.model import Clustering, Instance
 from gridcoreset.solver import solve_assignment
 
+from exact_refs import to_dense
+
 
 def test_from_duals_negates():
     diag = from_duals([[0.2], [0.9]], [0.0, 0.1])
     assert diag.gamma.tolist() == [0.0, -0.1]
     with pytest.raises(ValueError):
         from_duals([[0.2], [0.9]], [0.0])
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        from_duals([[0.2], [0.9]], [0.0, np.inf])
 
 
 def test_cell_boundary_position():
@@ -128,7 +132,7 @@ def test_compatibility_tolerance_scales_with_sites():
         diag = from_duals(inst.sites, res.duals)
         assert not res.exact
         assert check_compatibility(res.clustering, diag, (5, 5)).compatible
-        labels = np.argmax(res.clustering.to_dense(), axis=0)
+        labels = np.argmax(to_dense(res.clustering), axis=0)
         i0 = int(np.nonzero(labels == 0)[0][0])
         i1 = int(np.nonzero(labels == 1)[0][-1])
         labels[i0], labels[i1] = 1, 0
@@ -163,7 +167,7 @@ def test_integer_optimum_is_strongly_compatible():
 def test_swap_breaks_compatibility():
     inst = Instance(k=2, rho=(3,), kappa=(0.5, 0.5), sites=[[0.2], [0.9]])
     res = solve_assignment(inst)
-    labels = np.argmax(res.clustering.to_dense(), axis=0)
+    labels = np.argmax(to_dense(res.clustering), axis=0)
     # Exchange one point from each side of the optimal split.
     i0 = int(np.nonzero(labels == 0)[0][0])
     i1 = int(np.nonzero(labels == 1)[0][-1])

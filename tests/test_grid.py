@@ -105,6 +105,9 @@ def test_resolution_validation():
         as_resolution((MAX_AXIS_EXPONENT,) * 3)  # total exponent over cap
     with pytest.raises(ValueError):
         as_resolution(())
+    with pytest.raises(ValueError, match="different dimension"):
+        as_resolution((1,)) <= as_resolution((1, 1))
+    assert as_resolution(3) == as_resolution(np.int64(3)) == as_resolution((3,))
     assert sum(as_resolution((16, 16, 16)).exponents) <= MAX_TOTAL_EXPONENT
 
 

@@ -20,12 +20,13 @@ from gridcoreset.model import (
 )
 from gridcoreset.solver import solve_assignment
 
-from exact_refs import clustering_entries, exact_cost, exact_sq_norm, site_fractions
+from exact_refs import (clustering_entries, exact_cost, exact_sq_norm, from_entries,
+                        site_fractions, to_dense)
 
 
 def split_clustering():
     # rho=(1): xi_11=1 on point 1, xi_12=0.5 / xi_22=0.5 on point 2.
-    return Clustering.from_entries(2, 2, [(0, 0, 1.0), (0, 1, 0.5), (1, 1, 0.5)])
+    return from_entries(2, 2, [(0, 0, 1.0), (0, 1, 0.5), (1, 1, 0.5)])
 
 
 def test_cluster_weights_frozen():
@@ -130,26 +131,56 @@ def test_site_array_checks():
     assert given_sites.flags.writeable and not inst.sites.flags.writeable
 
 
-def test_kappa_on_grid_flag():
-    # Multiples of nu(rho)=0.25 are on-grid; 1/8 units are not.
-    assert Instance(k=2, rho=(2,), kappa=(0.25, 0.75)).kappa_on_grid
-    assert not Instance(k=2, rho=(2,), kappa=(0.125, 0.875)).kappa_on_grid
+def test_kappa_units():
+    # Weights off the grid (1/8 units at nu(rho) = 0.25) are accepted in dyadic form.
     inst = Instance(k=2, rho=(2,), kappa=(0.125, 0.875))
     assert inst.kappa_units == (1, 7)
     assert inst.kappa_bits == 3
 
 
+def _two_points():
+    return Clustering.from_labels(1, [0, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Instance(k=2, rho=(2,), kappa=(Fraction(1, 3), Fraction(2, 3))), "dyadic"),
+    (lambda: Instance(k=2, rho=(2,), kappa=(1.0,)), "expected 2 cluster weights, got 1"),
+    (lambda: NormFamily(np.eye(2)), r"\(k, d, d\) matrix stack"),
+    (lambda: NormFamily(np.ones((1, 2, 3))), r"\(k, d, d\) matrix stack"),
+    (lambda: NormFamily(np.array([[[1.0, 0.5], [0.0, 1.0]]])), "not symmetric"),
+    (lambda: NormFamily(np.array([[[1.0, 0.0], [0.0, -1.0]]])), "not positive definite"),
+    (lambda: Instance(k=2, rho=(2, 2), kappa=(0.5, 0.5), norms=np.array([np.eye(3)] * 2)),
+     r"norm family shape \(2, 3\) does not match instance \(k=2, d=2\)"),
+    (lambda: Clustering(k=1, n=2, rows=[0, 0], cols=[0, 1], vals=[1.0]), "equal length"),
+    (lambda: cluster_weights(_two_points(), (2,)), "2 points, grid has 4"),
+    (lambda: cost_sites(_two_points(), [[0.5]], (2,)), "2 points, grid has 4"),
+    (lambda: cost_sites(_two_points(), [[0.5]], (1,), NormFamily(np.array([np.eye(2)]))),
+     "norm family does not match"),
+], ids=["weight-not-dyadic", "weight-count", "norms-2d", "norms-not-square",
+        "norms-asymmetric", "norms-indefinite", "norms-shape", "entry-lengths",
+        "weights-point-count", "cost-point-count", "cost-norms-shape"])
+def test_invalid_inputs_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_instance_takes_norm_matrices_as_an_array():
+    inst = Instance(k=2, rho=(1, 1), kappa=(0.5, 0.5), norms=np.array([np.eye(2), 4 * np.eye(2)]))
+    assert isinstance(inst.norms, NormFamily)
+    assert (inst.norms.lambda_min, inst.norms.lambda_max) == (1.0, 4.0)
+
+
 def test_clustering_validation():
     with pytest.raises(ValueError):
-        Clustering.from_entries(1, 2, [(0, 0, 1.0)])  # column 1 sums to 0
+        from_entries(1, 2, [(0, 0, 1.0)])  # column 1 sums to 0
     with pytest.raises(ValueError):
-        Clustering.from_entries(1, 1, [(0, 0, 0.5)])  # column sum 0.5
+        from_entries(1, 1, [(0, 0, 0.5)])  # column sum 0.5
     with pytest.raises(ValueError):
-        Clustering.from_entries(1, 1, [(0, 0, 0.5), (0, 0, 0.5)])  # duplicate
+        from_entries(1, 1, [(0, 0, 0.5), (0, 0, 0.5)])  # duplicate
     with pytest.raises(ValueError):
-        Clustering.from_entries(1, 1, [(0, 0, -1.0), (0, 0, 2.0)])
+        from_entries(1, 1, [(0, 0, -1.0), (0, 0, 2.0)])
     with pytest.raises(ValueError):
-        Clustering.from_entries(2, 1, [(2, 0, 1.0)])  # row out of range
+        from_entries(2, 1, [(2, 0, 1.0)])  # row out of range
     with pytest.raises(ValueError, match=r"\(0, 1\]"):  # NaN fails every comparison
         Clustering(k=1, n=1, rows=[0], cols=[0], vals=[float("nan")])
     with pytest.raises(TypeError):  # float indices are not truncated
@@ -179,9 +210,9 @@ def test_clustering_sorts_only_unsorted_input():
         assert a.dtype == b.dtype and np.array_equal(a, b)
     dup = [(0, 0, 0.5), (0, 0, 0.5)]
     with pytest.raises(ValueError, match="duplicate"):
-        Clustering.from_entries(1, 1, dup)  # sorted, with a duplicate
+        from_entries(1, 1, dup)  # sorted, with a duplicate
     with pytest.raises(ValueError, match="duplicate"):
-        Clustering.from_entries(2, 2, [(1, 1, 1.0)] + dup)  # unsorted, with a duplicate
+        from_entries(2, 2, [(1, 1, 1.0)] + dup)  # unsorted, with a duplicate
     empty = Clustering(k=2, n=0, rows=[], cols=[], vals=[])
     assert empty.rows.size == 0 and empty.rows.dtype == np.int64
     with pytest.raises(ValueError, match="column sums"):
@@ -255,9 +286,9 @@ def test_clustering_copies_no_read_only_input():
 
 def test_clustering_roundtrip_and_flags():
     C = split_clustering()
-    dense = C.to_dense()
+    dense = to_dense(C)
     assert dense.shape == (2, 2)
-    assert Clustering.from_dense(dense).to_dense().tolist() == dense.tolist()
+    assert to_dense(Clustering.from_dense(dense)).tolist() == dense.tolist()
     assert C.fractional_count() == 2
     assert Clustering.from_labels(2, [0, 1]).fractional_count() == 0
     sl = C.cluster_slices()
@@ -386,7 +417,7 @@ def test_centroid_minimizes_cost(rho, k, data):
     n = as_resolution(rho).n
     C = data.draw(random_clustering(n, k), label="C")
     assume(np.all(cluster_weights(C, rho) > 0))
-    dense = C.to_dense()
+    dense = to_dense(C)
     best = cost_sites(C, dense @ coords_array(rho) / dense.sum(axis=1)[:, None], rho)
     d = len(rho)
     for _ in range(5):

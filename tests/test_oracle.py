@@ -20,7 +20,7 @@ from gridcoreset.oracle import (
 )
 from gridcoreset.solver import solve_assignment
 
-from exact_refs import exact_points, exact_scatter, exact_volume, full_dp_layers
+from exact_refs import exact_points, exact_scatter, exact_volume, full_dp_layers, to_dense
 
 
 def test_opt1d_frozen():
@@ -133,6 +133,8 @@ def test_opt1d_validation():
         opt1d_dp(MAX_DP_RESOLUTION + 1, 2)
     with pytest.raises(ValueError):
         opt1d_closed(3, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        opt1d_closed(3, -1)
     with pytest.raises(ValueError):
         lower_bound_1d(3, 1)
 
@@ -145,7 +147,7 @@ def test_brute_force_limits():
         brute_force_constrained(
             Instance(k=4, rho=(3,), kappa=(0.25,) * 4,
                      sites=[[0.1], [0.3], [0.6], [0.9]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiples of the voxel volume"):
         # 1/16 units are not multiples of nu = 1/8: no integer solution.
         brute_force_constrained(
             Instance(k=2, rho=(3,), kappa=(0.0625, 0.9375),
@@ -174,6 +176,6 @@ def test_brute_force_symmetric_tie():
     # lexicographic label vector (cluster 0 on the left) must win.
     inst = Instance(k=2, rho=(2,), kappa=(0.5, 0.5), sites=[[0.25], [0.75]])
     res = brute_force_constrained(inst)
-    assert res.clustering.to_dense().tolist() == [
+    assert to_dense(res.clustering).tolist() == [
         [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]
     assert res.cost == 0.015625

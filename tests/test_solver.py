@@ -28,7 +28,8 @@ from gridcoreset.solver import (
 )
 
 from exact_refs import (basis_potentials, clustering_entries, exact_cost, exact_dual_bound,
-                        exact_volume, greedy_start, object_extraction, site_fractions)
+                        exact_volume, greedy_start, object_extraction, site_fractions,
+                        to_dense)
 
 
 def pair_instance(kappa):
@@ -39,14 +40,14 @@ def test_balanced_pair_frozen():
     res = solve_assignment(pair_instance((0.5, 0.5)))
     assert abs(res.objective - 0.0125) <= 1e-15
     assert res.clustering.fractional_count() == 0
-    assert res.clustering.to_dense().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert to_dense(res.clustering).tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert res.duals[0] == 0.0
 
 
 def test_split_pair_frozen():
     res = solve_assignment(pair_instance((0.25, 0.75)))
     assert res.fractional_count == 2
-    dense = res.clustering.to_dense()
+    dense = to_dense(res.clustering)
     assert dense[0, 0] == 0.5 and dense[1, 0] == 0.5 and dense[1, 1] == 1.0
     assert abs(res.objective - 0.1175) <= 1e-15
     assert res.duals[0] == 0.0
@@ -221,7 +222,7 @@ def test_degenerate_bases_match_reference_lp(case):
     report = check_compatibility(res.clustering, from_duals(inst.sites, res.duals), inst.rho)
     assert report.compatible, report.worst_violation
     assert res.fractional_count <= 2 * (inst.k - 1)
-    if inst.kappa_on_grid:
+    if all((Fraction(v) * inst.rho.n).denominator == 1 for v in inst.kappa):  # on the grid
         assert res.fractional_count == 0
     assert cluster_weights(res.clustering, inst.rho).tolist() == list(inst.kappa)
 
