@@ -16,6 +16,7 @@ import json
 import operator
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,10 +47,6 @@ def _parse_axes(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts if p != "")
 
 
-def _kappa_to_json(instance: Instance) -> list:
-    return [[u, 1 << instance.kappa_bits] for u in instance.kappa_units]
-
-
 def _kappa_from_json(values) -> list:
     """Weights as given, with [numerator, denominator] pairs as Fractions; Instance checks them."""
     out = []
@@ -67,7 +64,7 @@ def save_instance(instance: Instance, path, plan: CoresetPlan | None = None) -> 
         "d": instance.d,
         "rho": list(instance.rho.exponents),
         "k": instance.k,
-        "kappa": _kappa_to_json(instance),
+        "kappa": [[u, 1 << instance.kappa_bits] for u in instance.kappa_units],
         "sites": None if instance.sites is None else instance.sites.tolist(),
         "matrices": None if instance.norms is None else instance.norms.matrices.tolist(),
         "epsilon": instance.epsilon,
@@ -78,7 +75,7 @@ def save_instance(instance: Instance, path, plan: CoresetPlan | None = None) -> 
             "tau": list(plan.tau.exponents),
             "tau_star": plan.tau_star,
             "delta": [plan.delta_exact.numerator, plan.delta_exact.denominator],
-            "epsilon": plan.epsilon,
+            "epsilon": float(plan.epsilon),
         }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -104,6 +101,8 @@ def load_instance(path) -> Instance:
     doc = json.loads(Path(path).read_text())
     try:
         return instance_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"malformed instance file {path}: missing key {exc}") from exc
     except (TypeError, ZeroDivisionError) as exc:  # e.g. null, a list, a kappa over 0
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
 
@@ -191,8 +190,10 @@ def _cmd_gen(args) -> int:
     rho = _parse_axes(args.rho)
     aniso = None
     if args.anisotropy:
-        lo, hi = (float(v) for v in args.anisotropy.split(","))
-        aniso = (lo, hi)
+        pair = args.anisotropy.split(",")
+        if len(pair) != 2:
+            raise ValueError(f"--anisotropy takes lo,hi, got {args.anisotropy!r}")
+        aniso = (float(pair[0]), float(pair[1]))
     inst = generate_instance(args.d, rho, args.k, args.seed,
                              anisotropy=aniso, epsilon=args.epsilon)
     out = args.out or f"instance_d{args.d}_k{args.k}_seed{args.seed}.json"
@@ -228,13 +229,15 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _load_plan(args, transfer: bool = False) -> tuple[Instance, CoresetPlan]:
-    """The instance file and its plan from --epsilon (default: the instance's)
-    and --tau.  With transfer=True an anisotropic instance is planned at
-    epsilon/3, as its lift is certified through the eigenvalue transfer factor."""
+def _load_plan(args) -> tuple[Instance, CoresetPlan]:
+    """The instance file, with --epsilon in place of its own, and the plan of coarsen,
+    verify and bench: at epsilon and --tau, or at epsilon/3 for an anisotropic
+    instance, whose lift is certified through the eigenvalue transfer factor."""
     inst = load_instance(args.instance)
-    epsilon = Fraction(str(args.epsilon if args.epsilon is not None else inst.epsilon))
-    if transfer and inst.norms is not None:
+    if args.epsilon is not None:  # Instance checks it, before any division
+        inst = replace(inst, epsilon=args.epsilon)
+    epsilon = Fraction(str(inst.epsilon))
+    if inst.norms is not None:
         epsilon /= 3
     tau = as_resolution(_parse_axes(args.tau)) if args.tau else None
     return inst, make_plan(inst.k, epsilon, inst.rho, tau=tau)
@@ -242,8 +245,7 @@ def _load_plan(args, transfer: bool = False) -> tuple[Instance, CoresetPlan]:
 
 def _cmd_coarsen(args) -> int:
     inst, plan = _load_plan(args)
-    coarse = Instance(k=inst.k, rho=plan.tau, kappa=inst.kappa, sites=inst.sites,
-                      norms=inst.norms, epsilon=plan.epsilon)
+    coarse = replace(inst, rho=plan.tau, epsilon=plan.epsilon)
     out = args.out or str(Path(args.instance).with_suffix(".coarse.json"))
     save_instance(coarse, out, plan=plan)
     print(f"tau {plan.tau} (tau_star {plan.tau_star}{', clamped' if plan.clamped else ''})")
@@ -308,7 +310,7 @@ def _verify_anisotropic(inst, plan, reporter, trials, seed) -> dict | None:
 
 
 def _cmd_verify(args) -> int:
-    inst, plan = _load_plan(args, transfer=True)
+    inst, plan = _load_plan(args)
     reporter = _Reporter(Path(args.instance).stem, args.seed)
     if inst.norms is None:
         bad = _verify_isotropic(inst, plan, reporter, args.trials, args.seed)
@@ -437,7 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PivotLimitError as exc:

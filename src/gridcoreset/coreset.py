@@ -12,7 +12,7 @@ lift_offset; the guarantee reaches them through transfer_bound.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -69,13 +69,13 @@ def lift_offset(plan: CoresetPlan, weights, norms: NormFamily | None = None) -> 
 
 @dataclass(frozen=True)
 class CoresetPlan:
-    """A chosen coarsening: source and coarse resolutions plus the offset delta,
-    the scatter lost by merging X(rho) into X(tau), an exact dyadic float."""
+    """A chosen coarsening: source and coarse resolutions, the exact epsilon, and the offset
+    delta, the scatter lost by merging X(rho) into X(tau), an exact dyadic float."""
 
     rho: Resolution
     tau: Resolution
     k: int
-    epsilon: float
+    epsilon: Fraction
     tau_star: int
     delta: float
 
@@ -99,10 +99,11 @@ def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
     """
     rho = as_resolution(rho)
     k = operator.index(k)
+    epsilon = _exact_epsilon(epsilon)
     tau_star = coarsening_exponent(k, epsilon)
     tau = as_resolution(tuple(min(e, tau_star) for e in rho.exponents) if tau is None else tau)
     return CoresetPlan(
-        rho=rho, tau=tau, k=k, epsilon=float(_exact_epsilon(epsilon)),
+        rho=rho, tau=tau, k=k, epsilon=epsilon,
         tau_star=tau_star, delta=float(delta_offset_exact(rho, tau)),
     )
 
@@ -217,9 +218,7 @@ def solve_coarse(instance: Instance, sites=None, *, plan: CoresetPlan) -> Coarse
     """
     _check_plan(instance, plan)
     sites = site_array(instance.sites if sites is None else sites, instance.k, instance.d)
-    euclid = instance if instance.norms is None else Instance(
-        k=instance.k, rho=instance.rho, kappa=instance.kappa, epsilon=instance.epsilon,
-    )
+    euclid = instance if instance.norms is None else replace(instance, norms=None)
     coarse = solve_assignment(euclid, resolution=plan.tau, sites=sites)
     cost = cost_sites(coarse.clustering, sites, plan.tau, instance.norms)
     return CoarseSolve(plan=plan, coarse=coarse, extended=extend(coarse.clustering, plan),
@@ -234,8 +233,7 @@ def transfer_bound(epsilon, norms: NormFamily) -> float:
     because each squared norm is sandwiched by the extreme eigenvalues
     times the Euclidean one.
     """
-    eps = float(_exact_epsilon(epsilon))
-    return (1.0 + eps) * norms.lambda_max / norms.lambda_min
+    return (1.0 + float(epsilon)) * norms.lambda_max / norms.lambda_min
 
 
 def _cube_root_exact(x: Fraction) -> Fraction | None:
@@ -268,7 +266,7 @@ def size_report(plan: CoresetPlan) -> SizeReport:
     The advantage over a dense pencil grid of k^2/eps^(d+1) points is
     reported exactly whenever it is rational.
     """
-    eps = _exact_epsilon(plan.epsilon)
+    eps = plan.epsilon
     k = plan.k
     d = plan.rho.d
     axis_size = 1 << plan.tau_star

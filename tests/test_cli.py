@@ -27,6 +27,8 @@ from gridcoreset.model import Instance, NormFamily
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "instances" / "gen_d1_rho3_k2_seed0.json"
 GOLDEN_COARSE = FIXTURES / "instances" / "gen_d2_rho6x6_k2_seed0.json"  # plans tau = 4x4
+# Anisotropic, so planned at epsilon/3: tau = 5x5, where epsilon itself plans 4x4.
+GOLDEN_ANISO = FIXTURES / "instances" / "gen_d2_rho6x5_k2_seed3_aniso1x4.json"
 
 
 def test_parse_axes_forms():
@@ -146,6 +148,32 @@ def test_verify_golden_csv_below_full_resolution(tmp_path):
     assert {r["resolution"] for r in csv.DictReader(out.open())} == {"6x6", "4x4"}
 
 
+def test_verify_golden_csv_anisotropic(tmp_path):
+    inst = tmp_path / GOLDEN_ANISO.name
+    assert main(["gen", "--d", "2", "--rho", "6,5", "--k", "2", "--seed", "3",
+                 "--anisotropy", "1,4", "--out", str(inst)]) == 0
+    assert inst.read_bytes() == GOLDEN_ANISO.read_bytes()
+    out = tmp_path / "r.csv"
+    assert main(["verify", str(inst), "--trials", "3", "--seed", "4", "--out", str(out)]) == 0
+    golden = FIXTURES / "verify" / "gen_d2_rho6x5_k2_seed3_aniso1x4_trials3_seed4.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_planning_commands_agree_on_tau(tmp_path, capsys):
+    coarse = tmp_path / "c.json"
+    assert main(["coarsen", str(GOLDEN_ANISO), "--out", str(coarse)]) == 0
+    assert "tau 5x5 (tau_star 5)" in capsys.readouterr().out
+    doc = json.loads(coarse.read_text())
+    assert doc["rho"] == doc["plan"]["tau"] == [5, 5]
+    assert doc["epsilon"] == doc["plan"]["epsilon"] == 1 / 6  # the coarse file carries the plan's
+    reports = {}
+    for command in ("verify", "bench"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, str(GOLDEN_ANISO), "--trials", "1", "--out", str(out)]) == 0
+        reports[command] = [r["resolution"] for r in csv.DictReader(out.open())]
+    assert reports == {"verify": ["5x5"], "bench": ["6x5", "5x5"]}
+
+
 @pytest.mark.parametrize("instance, calls", [(GOLDEN, 1), (GOLDEN_COARSE, 2)])
 def test_verify_certifies_each_distinct_solve_once(tmp_path, monkeypatch, instance, calls):
     # GOLDEN plans tau = rho, so its fine and coarse solves are one result.
@@ -251,10 +279,12 @@ def test_bench_solves_the_sites_verify_draws(tmp_path, anisotropic):
         out = tmp_path / f"{command}.csv"
         assert main([command, str(path), "--trials", "3", "--seed", "5", "--out", str(out)]) == 0
         reports[command] = list(csv.DictReader(out.open()))
-    verified = [(r["trial"], r["objective"]) for r in reports["verify"]
+    verified = [(r["trial"], r["objective"], r["resolution"]) for r in reports["verify"]
                 if r["check"] in ("property_b", "transfer")]
-    full = [(r["trial"], r["objective"]) for r in reports["bench"][::2]]  # full, then coarse
-    assert verified == full and [t for t, _ in full] == ["0", "1", "2"]
+    full, coarse = reports["bench"][::2], reports["bench"][1::2]
+    assert [(r["trial"], r["objective"]) for r in full] == [v[:2] for v in verified]
+    assert [r["resolution"] for r in coarse] == [v[2] for v in verified]
+    assert [r["trial"] for r in full] == ["0", "1", "2"]
 
 
 def test_verify_anisotropic_transfer(tmp_path):
@@ -378,6 +408,12 @@ def _golden_with(**fields):
     return doc
 
 
+def _golden_without(key):
+    doc = json.loads(GOLDEN.read_text())
+    del doc[key]
+    return doc
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     "x",
@@ -395,16 +431,23 @@ def _golden_with(**fields):
     _golden_with(kappa=[[2**53 + 1, 2**54], [2**53 - 1, 2**54]]),
     _golden_with(kappa=[float("inf"), 0.5]),
     _golden_with(kappa=[10**400, 0.5]),
+    _golden_without("rho"),
+    _golden_without("kappa"),
 ], ids=["list", "string", "k-null", "kappa-number", "rho-null", "epsilon-null",
         "kappa-over-0", "matrix-nan", "rho-float", "k-float", "k-integral-float",
-        "d-float", "kappa-float-pair", "kappa-54-bits", "kappa-inf", "kappa-huge-int"])
+        "d-float", "kappa-float-pair", "kappa-54-bits", "kappa-inf", "kappa-huge-int",
+        "rho-missing", "kappa-missing"])
 def test_malformed_instance_files_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
     with pytest.raises(ValueError):
         load_instance(path)
     assert main(["solve", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for key in ("rho", "kappa"):
+        if isinstance(doc, dict) and key not in doc:
+            assert err == f"error: malformed instance file {path}: missing key '{key}'\n"
 
 
 D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
@@ -416,7 +459,18 @@ D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
     (["gen", "--d", "1", "--rho", "3", "--k", "8"], "no nonempty-cell draw in 100 attempts"),
     (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "3,1"],
      "anisotropy range must satisfy 0 < lo <= hi, got 3.0, 1.0"),
-], ids=["file-d-mismatch", "gen-k-above-n", "gen-draws-exhausted", "gen-anisotropy-reversed"])
+    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1"],
+     "--anisotropy takes lo,hi, got '1'"),
+    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1,2,3"],
+     "--anisotropy takes lo,hi, got '1,2,3'"),
+    # Checked before an anisotropic file's epsilon/3, so as for an isotropic file.
+    (["coarsen", str(GOLDEN_ANISO), "--epsilon", "0.9", "--out", "c.json"],
+     "epsilon must lie in (0, 1/2], got 0.9"),
+    (["verify", str(GOLDEN_ANISO), "--epsilon", "1.2", "--out", "r.csv"],
+     "epsilon must lie in (0, 1/2], got 1.2"),
+], ids=["file-d-mismatch", "gen-k-above-n", "gen-draws-exhausted", "gen-anisotropy-reversed",
+        "gen-anisotropy-one-value", "gen-anisotropy-three-values", "coarsen-epsilon-above-half",
+        "verify-epsilon-above-half"])
 def test_rejected_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / D_MISMATCH).write_text(json.dumps(_golden_with(d=2)))

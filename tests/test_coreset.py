@@ -440,6 +440,13 @@ def test_size_report_frozen_small():
     assert plan.tau.n == 32 and plan.rho.n == 256
 
 
+def test_plan_holds_epsilon_exactly():
+    plan = make_plan(3, Fraction(1, 6), (10, 10))
+    assert plan.epsilon == Fraction(1, 6)
+    assert size_report(plan).pencil_bound == 1944  # 3^2 * 6^3, exactly
+    assert make_plan(3, 0.1, (10, 10)).epsilon == Fraction(1, 10)  # a float reads as its decimal
+
+
 def test_size_report_frozen_large():
     rep = size_report(make_plan(100, 0.001, (16, 16, 16)))
     assert rep.pencil_bound == Fraction(10) ** 16
