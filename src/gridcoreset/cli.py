@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import json
-import operator
 import sys
 import time
 from dataclasses import replace
@@ -26,7 +25,7 @@ from .coreset import (PROPERTY_A_TOL, PROPERTY_B_TOL, CoresetPlan, make_plan,
                       size_report, solve_coarse, transfer_bound, verify_property_a,
                       verify_property_b)
 from .diagrams import PowerDiagram, check_compatibility, from_duals
-from .grid import Resolution, as_resolution, coords_array
+from .grid import Resolution, as_int, as_resolution, coords_array
 from .model import Clustering, Instance, NormFamily, cluster_weights
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
 from .solver import PivotLimitError, solve_assignment
@@ -82,7 +81,7 @@ def save_instance(instance: Instance, path, plan: CoresetPlan | None = None) -> 
 
 def instance_from_dict(doc: dict) -> Instance:
     rho = as_resolution(doc["rho"])
-    if operator.index(doc.get("d", rho.d)) != rho.d:
+    if as_int(doc.get("d", rho.d)) != rho.d:
         raise ValueError(f"d = {doc['d']} does not match rho with {rho.d} axes")
     kappa = _kappa_from_json(doc["kappa"])
     norms = None
@@ -245,7 +244,7 @@ def _load_plan(args) -> tuple[Instance, CoresetPlan]:
 
 def _cmd_coarsen(args) -> int:
     inst, plan = _load_plan(args)
-    coarse = replace(inst, rho=plan.tau, epsilon=plan.epsilon)
+    coarse = replace(inst, rho=plan.tau)  # the user's epsilon; the plan block holds the plan's
     out = args.out or str(Path(args.instance).with_suffix(".coarse.json"))
     save_instance(coarse, out, plan=plan)
     print(f"tau {plan.tau} (tau_star {plan.tau_star}{', clamped' if plan.clamped else ''})")

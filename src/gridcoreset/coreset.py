@@ -11,13 +11,12 @@ lift_offset; the guarantee reaches them through transfer_bound.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .grid import Resolution, as_resolution, batch_error_exact
+from .grid import Resolution, as_int, as_resolution, batch_error_exact
 from .model import Clustering, Instance, NormFamily, cost_sites, site_array
 from .solver import SolveResult, solve_assignment
 
@@ -98,7 +97,7 @@ def make_plan(k: int, epsilon, rho, tau=None) -> CoresetPlan:
     simply reports what it finds.
     """
     rho = as_resolution(rho)
-    k = operator.index(k)
+    k = as_int(k)
     epsilon = _exact_epsilon(epsilon)
     tau_star = coarsening_exponent(k, epsilon)
     tau = as_resolution(tuple(min(e, tau_star) for e in rho.exponents) if tau is None else tau)
@@ -118,47 +117,40 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     """Lift a coarse clustering to X(rho): every point inherits its batch's fractions.
 
     The section g of the merge map: averaging the lift over each batch returns C.
-    Fine points order as (c_0, r_0, c_1, r_1, ...) in coarse cell c and batch
-    offset r, so a lifted entry's rank in its cluster sums coarse run counts
-    over the axes; entries are scattered to their ranks, with no sort and no
-    pass per cluster.
+    One pass per refined axis t splits each index there into r consecutive
+    ones, so within a run of entries that share the cluster and every index
+    up to axis t, the r copies of the run follow one another.  Entries are
+    scattered to their ranks, with no sort and no pass per cluster.
     """
     rho, tau = plan.rho, plan.tau
     if C_tilde.n != tau.n:
         raise ValueError(f"clustering has {C_tilde.n} points, coarse grid has {tau.n}")
     if tau == rho:  # the lift is the identity; a Clustering is immutable
         return C_tilde
-    rows, cols = C_tilde.rows, C_tilde.cols
-    batch = rho.n // tau.n
-    # (entries, batch offsets) arrays with the offsets innermost: per-entry
-    # parts are columns, per-offset parts rows.
-    base, fbase, fine, outer = np.arange(rows.size), 0, 0, []
-    q, s, f = batch, tau.n, rho.n  # fine points per batch, coarse and fine grid sizes
-    for re, te in zip(rho.exponents, tau.exponents):
-        r, s, f = 1 << (re - te), s >> te, f >> re
-        fbase = fbase + cols // s % (1 << te) * r * f
-        if r > 1:  # runs of entries that share the cluster and coarse axes up to this one
-            key = rows * (tau.n // s) + cols // s
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
-            counts = np.diff(starts, append=key.size)
-            base, q = base + (q - q // r) * np.repeat(starts, counts), q // r
-            step = np.arange(batch) // q % r
-            outer.append(((q * np.repeat(counts, counts))[:, None], step))
-            fine = fine + step * f
-    # rank = base + the outer products, built in place with one scratch buffer.
-    rank = np.multiply(*outer[0])
-    rank += base[:, None]
-    tmp = np.empty_like(rank)
-    for per_entry, step in outer[1:]:
-        rank += np.multiply(per_entry, step, out=tmp)
-    lifted, vals = np.empty(rank.size, dtype=np.int64), np.empty(rank.size)
-    lifted[rank] = np.add(fbase[:, None], fine, out=tmp)
-    vals[rank] = C_tilde.vals[:, None]
-    del rank, tmp
-    rows = np.repeat(rows, batch)
-    for arr in (rows, lifted, vals):  # read-only, so Clustering shares them
+    rows, cols, vals, n = C_tilde.rows, C_tilde.cols, C_tilde.vals, tau.n
+    for t, (re, te) in enumerate(zip(rho.exponents, tau.exponents)):
+        r, inner = 1 << (re - te), 1 << sum(tau.exponents[t + 1:])
+        if r == 1:
+            continue
+        head = cols // inner
+        starts = np.flatnonzero(np.diff(rows * (n // inner) + head, prepend=-1))
+        counts = np.diff(starts, append=cols.size)
+        # Copy q of a run's e-th entry lands at r*start + q*length + e ...
+        rank = np.multiply.outer(np.repeat(counts, counts), np.arange(r))
+        rank += ((r - 1) * np.repeat(starts, counts) + np.arange(cols.size))[:, None]
+        del starts, counts
+        # ... in column (head*r + q)*inner + cols % inner = cols + (r-1)*inner*head + q*inner.
+        # The column scratch is freed before the fractions exist: three fine-size arrays at most.
+        lifted = np.empty(rank.size, dtype=np.int64)
+        lifted[rank] = np.add.outer(cols + (r - 1) * inner * head, inner * np.arange(r))
+        cols, lifted = lifted, np.empty(rank.size)
+        lifted[rank] = vals[:, None]
+        vals = lifted
+        del head, rank
+        rows, n = np.repeat(rows, r), n * r
+    for arr in (rows, cols, vals):  # read-only, so Clustering shares them
         arr.setflags(write=False)
-    return Clustering(k=C_tilde.k, n=rho.n, rows=rows, cols=lifted, vals=vals)
+    return Clustering(k=C_tilde.k, n=n, rows=rows, cols=cols, vals=vals)
 
 
 def verify_property_a(C_tilde: Clustering, sites, instance: Instance,

@@ -24,6 +24,13 @@ MAX_AXIS_EXPONENT = 20
 MAX_TOTAL_EXPONENT = 48
 
 
+def as_int(value) -> int:
+    """operator.index(value), except that a bool (a JSON true, say) raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class Resolution:
     """Per-axis integer exponents (rho_1, ..., rho_d); axis t has 2^{rho_t} points."""
@@ -31,7 +38,7 @@ class Resolution:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(operator.index(e) for e in self.exponents)
+        exps = tuple(as_int(e) for e in self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 1:
             raise ValueError("resolution needs at least one axis")

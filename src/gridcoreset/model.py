@@ -8,13 +8,12 @@ scaling exact and lets tests assert weight identities without tolerances.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .grid import Resolution, as_resolution, coords_array, voxel_volume
+from .grid import Resolution, as_int, as_resolution, coords_array, voxel_volume
 
 # Largest admissible power-of-two denominator for cluster weights: the
 # float64 mantissa, so every weight, supply, flow and fraction is exact.
@@ -134,7 +133,7 @@ class Instance:
     def __post_init__(self):
         rho = as_resolution(self.rho)
         object.__setattr__(self, "rho", rho)
-        k = operator.index(self.k)
+        k = as_int(self.k)
         object.__setattr__(self, "k", k)
         if k < 1:
             raise ValueError(f"cluster count must be >= 1, got {k}")
@@ -200,8 +199,8 @@ class Clustering:
     vals: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", operator.index(self.k))
-        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "k", as_int(self.k))
+        object.__setattr__(self, "n", as_int(self.n))
         rows, cols, vals = (np.asarray(a) for a in (self.rows, self.cols, self.vals))
         if any(a.size and a.dtype.kind not in "iu" for a in (rows, cols)):
             raise TypeError("cluster and point indices must be integers")

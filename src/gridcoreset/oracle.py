@@ -168,7 +168,7 @@ class BruteForceResult:
     cost: float
 
 
-def brute_force_constrained(instance: Instance, sites=None) -> BruteForceResult:
+def brute_force_constrained(instance: Instance) -> BruteForceResult:
     """Exhaustive minimum over all integer weight-feasible clusterings.
 
     Enumerates every label vector (first lexicographic minimizer wins), so
@@ -185,7 +185,7 @@ def brute_force_constrained(instance: Instance, sites=None) -> BruteForceResult:
     target = [Fraction(u, 1 << instance.kappa_bits) * n for u in instance.kappa_units]
     if any(t.denominator != 1 for t in target):
         raise ValueError("weights must be integer multiples of the voxel volume")
-    s = site_array(instance.sites if sites is None else sites, k, rho.d)
+    s = site_array(instance.sites, k, rho.d)
     counts_needed = np.array([int(t) for t in target], dtype=np.int64)
 
     nu = float(voxel_volume(rho))

@@ -187,9 +187,10 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
     index), and is split over clusters in cost order otherwise.  owner[j]
     is the cluster of a point assigned whole; core maps every split arc
     i*n + j to its amount.  A split point exhausts all but at most one of
-    its clusters, so the split arcs form a forest.  Each of its trees hangs
-    from the root by the artificial arc k*n + a of its union-find
-    representative a, at flow 0.
+    its clusters, so the split arcs form a forest.  It joins the trees of
+    those clusters into one, which keeps its cheapest cluster's
+    representative (rep[i] is cluster i's), and each tree hangs from the root
+    by the artificial arc k*n + a of its representative a, at flow 0.
     """
     k, n = cost2d.shape
     owner = np.argmin(cost2d, axis=0)
@@ -211,14 +212,7 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
     cap = [c - supply * m for c, m in zip(demands, np.bincount(chosen[:t], minlength=k).tolist())]
 
     core: dict[int, int] = {}
-    comp = list(range(k))
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
+    rep = list(range(k))
     tail = order[t:]
     by_cost = np.argsort(cost2d[:, tail], axis=0, kind="stable").T.tolist()
     for j, i, ranked in zip(tail.tolist(), chosen[t:].tolist(), by_cost):
@@ -238,12 +232,10 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
                 break
         owner[j] = got[0][0]
         if len(got) > 1:
-            base = find(got[0][0])
-            for i, take in got:
-                core[i * n + j] = take
-                comp[find(i)] = base
-    for a in sorted({find(i) for i in range(k)}):
-        core[k * n + a] = 0
+            core.update({i * n + j: take for i, take in got})
+            joined = {rep[i] for i, _ in got}
+            rep = [rep[got[0][0]] if r in joined else r for r in rep]
+    core.update({k * n + a: 0 for a in sorted(set(rep))})
     return owner, core
 
 

@@ -165,13 +165,26 @@ def test_planning_commands_agree_on_tau(tmp_path, capsys):
     assert "tau 5x5 (tau_star 5)" in capsys.readouterr().out
     doc = json.loads(coarse.read_text())
     assert doc["rho"] == doc["plan"]["tau"] == [5, 5]
-    assert doc["epsilon"] == doc["plan"]["epsilon"] == 1 / 6  # the coarse file carries the plan's
+    # The coarse file keeps the user's epsilon, and its plan block holds the plan's.
+    assert doc["epsilon"] == 0.5 and doc["plan"]["epsilon"] == 1 / 6
     reports = {}
     for command in ("verify", "bench"):
         out = tmp_path / f"{command}.csv"
         assert main([command, str(GOLDEN_ANISO), "--trials", "1", "--out", str(out)]) == 0
         reports[command] = [r["resolution"] for r in csv.DictReader(out.open())]
     assert reports == {"verify": ["5x5"], "bench": ["6x5", "5x5"]}
+
+
+def test_coarsening_a_coarse_anisotropic_file_plans_the_same_tau(tmp_path, capsys):
+    # The coarse file's epsilon is the user's, so planning it again divides by 3 once.
+    coarse, again = tmp_path / "c.json", tmp_path / "c2.json"
+    assert main(["coarsen", str(GOLDEN_ANISO), "--out", str(coarse)]) == 0
+    assert main(["coarsen", str(coarse), "--out", str(again)]) == 0
+    taus = [line for line in capsys.readouterr().out.splitlines() if line.startswith("tau ")]
+    assert taus == ["tau 5x5 (tau_star 5)"] * 2
+    docs = [json.loads(p.read_text()) for p in (coarse, again)]
+    assert [d["epsilon"] for d in docs] == [0.5, 0.5]
+    assert [(d["plan"]["tau"], d["plan"]["tau_star"]) for d in docs] == [([5, 5], 5)] * 2
 
 
 @pytest.mark.parametrize("instance, calls", [(GOLDEN, 1), (GOLDEN_COARSE, 2)])
@@ -408,6 +421,10 @@ def _golden_with(**fields):
     return doc
 
 
+def _k1_with(**fields):  # a valid one-cluster file but for fields
+    return _golden_with(**{"k": 1, "kappa": [[1, 1]], "sites": [[0.5]], **fields})
+
+
 def _golden_without(key):
     doc = json.loads(GOLDEN.read_text())
     del doc[key]
@@ -433,10 +450,12 @@ def _golden_without(key):
     _golden_with(kappa=[10**400, 0.5]),
     _golden_without("rho"),
     _golden_without("kappa"),
+    _k1_with(k=True),
+    _k1_with(rho=[True, 5], d=2, sites=[[0.5, 0.5]]),
 ], ids=["list", "string", "k-null", "kappa-number", "rho-null", "epsilon-null",
         "kappa-over-0", "matrix-nan", "rho-float", "k-float", "k-integral-float",
         "d-float", "kappa-float-pair", "kappa-54-bits", "kappa-inf", "kappa-huge-int",
-        "rho-missing", "kappa-missing"])
+        "rho-missing", "kappa-missing", "k-true", "rho-true"])
 def test_malformed_instance_files_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))  # Python's json writes and reads NaN

@@ -196,8 +196,10 @@ def test_extend_matches_argsort_reference(rho, data):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+# (7, 7): tiny batches of 4, same layout.  (2, 9, 7): the first axis is not
+# refined and the other two by different ratios, so a later pass runs at scale.
 @pytest.mark.parametrize("rho, tau", [((10, 10), (5, 5)), ((15, 3, 2), (5, 3, 2)),
-                                      ((7, 7), (6, 6))])  # the last: tiny batches of 4, same layout
+                                      ((7, 7), (6, 6)), ((2, 9, 7), (2, 4, 5))])
 def test_extend_matches_argsort_reference_at_workload_scale(rho, tau):
     plan = plan_for(rho, tau, k=4)
     n = plan.tau.n
@@ -228,10 +230,11 @@ def test_extend_hands_its_outputs_to_the_clustering_uncopied(monkeypatch):
 
 
 def test_extend_peak_memory():
-    # At its peak a lift holds about four fine-size arrays: the ranks and one
-    # scratch buffer, then the three outputs and the sort keys of Clustering's
-    # check, which copies no read-only input.  A temporary per step and copied
-    # outputs make it eleven, well above the bound.
+    # Each per-axis pass holds at most three fine-size arrays: the ranks, the
+    # new columns (with their scratch, freed first), then the new fractions.
+    # The peak, about four, is the three outputs and the sort keys of
+    # Clustering's check, which copies no read-only input.  A temporary per
+    # step and copied outputs make it eleven, well above the bound.
     plan = plan_for((9, 9), (4, 4), k=4)
     C_tilde = Clustering.from_labels(4, np.arange(plan.tau.n) % 4)
     tracing = tracemalloc.is_tracing()

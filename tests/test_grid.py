@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gridcoreset.grid import (
     MAX_AXIS_EXPONENT,
     MAX_TOTAL_EXPONENT,
+    Resolution,
     as_resolution,
     batch_error,
     batch_error_exact,
@@ -107,6 +108,8 @@ def test_resolution_validation():
         as_resolution(())
     with pytest.raises(ValueError, match="different dimension"):
         as_resolution((1,)) <= as_resolution((1, 1))
+    with pytest.raises(TypeError, match="expected an integer, got True"):
+        Resolution((True,))  # operator.index(True) is 1
     assert as_resolution(3) == as_resolution(np.int64(3)) == as_resolution((3,))
     assert sum(as_resolution((16, 16, 16)).exponents) <= MAX_TOTAL_EXPONENT
 
