@@ -58,6 +58,10 @@ def _kappa_from_json(values) -> list:
     return out
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def save_instance(instance: Instance, path, plan: CoresetPlan | None = None) -> None:
     doc = {
         "d": instance.d,
@@ -83,6 +87,9 @@ def instance_from_dict(doc: dict) -> Instance:
     rho = as_resolution(doc["rho"])
     if as_int(doc.get("d", rho.d)) != rho.d:
         raise ValueError(f"d = {doc['d']} does not match rho with {rho.d} axes")
+    for field in ("kappa", "sites", "matrices", "epsilon"):  # JSON true is not the number 1
+        if _has_bool(doc.get(field)):
+            raise ValueError(f"{field} must hold numbers, not true or false")
     kappa = _kappa_from_json(doc["kappa"])
     norms = None
     if doc.get("matrices") is not None:

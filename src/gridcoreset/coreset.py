@@ -117,10 +117,18 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     """Lift a coarse clustering to X(rho): every point inherits its batch's fractions.
 
     The section g of the merge map: averaging the lift over each batch returns C.
-    One pass per refined axis t splits each index there into r consecutive
-    ones, so within a run of entries that share the cluster and every index
-    up to axis t, the r copies of the run follow one another.  Entries are
-    scattered to their ranks, with no sort and no pass per cluster.
+    One pass per refined axis, from the last axis to the first, splits each
+    index there into r consecutive ones.  When axis t is refined every later
+    axis is already fine, so a run of L entries that share the cluster and
+    every index up to axis t becomes r copies of itself, one after another,
+    in one contiguous block of the output.  Consecutive runs of one length
+    are written by one numpy broadcast, with no sort, no scatter and no pass
+    per cluster.  A pass makes at most one such write per coarse entry, so
+    the loop runs at most d * (coarse entries) times; on the last axis every
+    run has length 1 and the pass is one write.  Layouts whose runs keep
+    changing length (small batches, labels alternating in short runs) pay
+    for that loop: such a (13,3) -> (12,2) lift takes about 35 ms on a
+    2-core machine, where scattering every entry to its rank takes 5 ms.
     """
     rho, tau = plan.rho, plan.tau
     if C_tilde.n != tau.n:
@@ -128,25 +136,25 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     if tau == rho:  # the lift is the identity; a Clustering is immutable
         return C_tilde
     rows, cols, vals, n = C_tilde.rows, C_tilde.cols, C_tilde.vals, tau.n
-    for t, (re, te) in enumerate(zip(rho.exponents, tau.exponents)):
-        r, inner = 1 << (re - te), 1 << sum(tau.exponents[t + 1:])
+    for t in reversed(range(rho.d)):
+        r, inner = 1 << (rho.exponents[t] - tau.exponents[t]), 1 << sum(rho.exponents[t + 1:])
         if r == 1:
             continue
-        head = cols // inner
+        head = cols // inner  # inner: the fine size of the later axes, all refined by now
         starts = np.flatnonzero(np.diff(rows * (n // inner) + head, prepend=-1))
-        counts = np.diff(starts, append=cols.size)
-        # Copy q of a run's e-th entry lands at r*start + q*length + e ...
-        rank = np.multiply.outer(np.repeat(counts, counts), np.arange(r))
-        rank += ((r - 1) * np.repeat(starts, counts) + np.arange(cols.size))[:, None]
-        del starts, counts
-        # ... in column (head*r + q)*inner + cols % inner = cols + (r-1)*inner*head + q*inner.
-        # The column scratch is freed before the fractions exist: three fine-size arrays at most.
-        lifted = np.empty(rank.size, dtype=np.int64)
-        lifted[rank] = np.add.outer(cols + (r - 1) * inner * head, inner * np.arange(r))
-        cols, lifted = lifted, np.empty(rank.size)
-        lifted[rank] = vals[:, None]
-        vals = lifted
-        del head, rank
+        lengths = np.diff(starts, append=cols.size)
+        # Copy q of a run from a lands at r*a + q*L, in column (head*r + q)*inner + cols % inner.
+        base = cols + (r - 1) * inner * head
+        del head
+        first = np.flatnonzero(np.diff(lengths, prepend=0))  # a new length starts a chunk
+        bounds = np.append(starts[first], cols.size).tolist()
+        step = inner * np.arange(r)[:, None]
+        new_cols, new_vals = np.empty(r * cols.size, np.int64), np.empty(r * cols.size)
+        for a, b, L in zip(bounds[:-1], bounds[1:], lengths[first].tolist()):
+            np.add(base[a:b].reshape(-1, 1, L), step, out=new_cols[r * a:r * b].reshape(-1, r, L))
+            np.copyto(new_vals[r * a:r * b].reshape(-1, r, L), vals[a:b].reshape(-1, 1, L))
+        del base
+        cols, vals = new_cols, new_vals
         rows, n = np.repeat(rows, r), n * r
     for arr in (rows, cols, vals):  # read-only, so Clustering shares them
         arr.setflags(write=False)

@@ -207,8 +207,8 @@ def restrict(C, plan):
 def argsort_extend(C_tilde, plan):
     """The lift by sorting the merge map: batch members of every coarse entry.
 
-    The package's extend scatters each lifted entry to its rank instead;
-    its rows, cols and vals must match these bit for bit.
+    The package's extend writes the copies of each run as one contiguous
+    block instead; its rows, cols and vals must match these bit for bit.
     """
     m = merge_map(plan.rho, plan.tau)
     batch = plan.rho.n // plan.tau.n

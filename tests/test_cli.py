@@ -356,6 +356,18 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     unbalanced.write_text(json.dumps(
         {"rho": [2], "k": 2, "kappa": [0.5, 0.25], "sites": [[0.2], [0.8]]}))
     assert main(["verify", str(unbalanced)]) == 2
+    # A JSON true where a number belongs is rejected, not read as 1.
+    for field, doc in (("kappa", _golden_with(kappa=[[True, 2], [1, 2]])),
+                       ("kappa", _k1_with(kappa=[True])),
+                       ("sites", _golden_with(sites=[[True], [0.5]])),
+                       ("matrices", _golden_with(matrices=[[[True]], [[1.0]]])),
+                       ("epsilon", _golden_with(epsilon=True))):
+        boolean = tmp_path / "boolean.json"
+        boolean.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command in ("solve", "verify"):
+            assert main([command, str(boolean)]) == 2
+            assert f"{field} must hold numbers" in capsys.readouterr().err
     assert main(["gen", "--d", "2", "--rho", "3", "--k", "2"]) == 2  # d mismatch
     capsys.readouterr()
     assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "0"]) == 2

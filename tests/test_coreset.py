@@ -216,6 +216,51 @@ def test_extend_matches_argsort_reference_at_workload_scale(rho, tau):
         assert not a.flags.writeable
 
 
+# Labels in runs of 1-3: on (12,3) -> (10,2) the lift's runs then alternate
+# between short lengths, so extend makes about one block write per run.
+ALTERNATING = [0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1]
+
+
+def block_layout(name, tau, rng, k=3):
+    n = tau.n
+    if name == "random":
+        return Clustering.from_labels(k, rng.integers(0, k, n))
+    if name == "checkerboard":
+        axes = np.indices([1 << e for e in tau.exponents])
+        return Clustering.from_labels(k, axes.sum(0).ravel() % k)
+    if name == "alternating":
+        return Clustering.from_labels(2, np.resize(ALTERNATING, n))
+    # Dense and stochastic: every point split among all k clusters in 64ths.
+    cuts = np.sort(np.argsort(rng.random((63, n)), axis=0)[:k - 1] + 1, axis=0)
+    units = np.diff(np.vstack([np.zeros(n), cuts, np.full(n, 64)]), axis=0)
+    return Clustering.from_dense(units / 64)
+
+
+@pytest.mark.parametrize("rho, tau, name", [
+    *(((10, 10), (4, 4), name) for name in ("random", "checkerboard", "dense")),
+    *(((15, 3, 2), (4, 3, 2), name) for name in ("random", "checkerboard", "dense")),
+    ((7, 7, 6), (4, 4, 4), "dense"),
+    ((12, 3), (10, 2), "alternating"),
+])
+def test_extend_matches_argsort_reference_on_block_layouts(rho, tau, name):
+    plan = plan_for(rho, tau, k=3)
+    C_tilde = block_layout(name, plan.tau, np.random.default_rng(sum(rho)))
+    new, ref = extend(C_tilde, plan), argsort_extend(C_tilde, plan)
+    for a, b in ((new.rows, ref.rows), (new.cols, ref.cols), (new.vals, ref.vals)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
+
+
+def test_a_reshaped_output_slice_is_written_in_place():
+    # extend writes each chunk through out=block, a reshape of a 1-D slice;
+    # a reshape that copied would drop the write without an error.
+    out = np.zeros(24, dtype=np.int64)
+    block = out[6:18].reshape(-1, 3, 2)
+    assert np.shares_memory(block, out)
+    np.add(np.arange(4).reshape(-1, 1, 2), 10 * np.arange(3)[:, None], out=block)
+    assert out[6:18].tolist() == [0, 1, 10, 11, 20, 21, 2, 3, 12, 13, 22, 23]
+
+
 def test_extend_hands_its_outputs_to_the_clustering_uncopied(monkeypatch):
     passed = {}
 
@@ -230,11 +275,13 @@ def test_extend_hands_its_outputs_to_the_clustering_uncopied(monkeypatch):
 
 
 def test_extend_peak_memory():
-    # Each per-axis pass holds at most three fine-size arrays: the ranks, the
-    # new columns (with their scratch, freed first), then the new fractions.
-    # The peak, about four, is the three outputs and the sort keys of
-    # Clustering's check, which copies no read-only input.  A temporary per
-    # step and copied outputs make it eleven, well above the bound.
+    # The last pass, on the first axis, writes the new columns and fractions
+    # into their own arrays and repeats the rows: three fine-size arrays,
+    # beside inputs r times smaller.  The peak, about 4.1, is those three
+    # outputs and then the sort keys or the column sums of Clustering's
+    # check, which copies no read-only input.  Copied outputs read 7.1 (the
+    # test above catches them); the bound leaves room for less than three
+    # more fine-size arrays.
     plan = plan_for((9, 9), (4, 4), k=4)
     C_tilde = Clustering.from_labels(4, np.arange(plan.tau.n) % 4)
     tracing = tracemalloc.is_tracing()
