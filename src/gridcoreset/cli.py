@@ -58,8 +58,13 @@ def _kappa_from_json(values) -> list:
     return out
 
 
-def _has_bool(value) -> bool:
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+def _check_numbers(field: str, value) -> None:
+    """Raise unless value is a number or nested lists of numbers: JSON true and "0.5" are not."""
+    if isinstance(value, list):
+        for v in value:
+            _check_numbers(field, v)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must hold numbers, not {value!r}")
 
 
 def save_instance(instance: Instance, path, plan: CoresetPlan | None = None) -> None:
@@ -87,9 +92,9 @@ def instance_from_dict(doc: dict) -> Instance:
     rho = as_resolution(doc["rho"])
     if as_int(doc.get("d", rho.d)) != rho.d:
         raise ValueError(f"d = {doc['d']} does not match rho with {rho.d} axes")
-    for field in ("kappa", "sites", "matrices", "epsilon"):  # JSON true is not the number 1
-        if _has_bool(doc.get(field)):
-            raise ValueError(f"{field} must hold numbers, not true or false")
+    for field in ("kappa", "sites", "matrices", "epsilon"):
+        if doc.get(field) is not None:
+            _check_numbers(field, doc[field])
     kappa = _kappa_from_json(doc["kappa"])
     norms = None
     if doc.get("matrices") is not None:

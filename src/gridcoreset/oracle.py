@@ -18,9 +18,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import coords_array, voxel_volume
 from .model import Clustering, Instance, site_array, sq_dists
 
-# DP work grows as k 4^rho, 8^rho / 2 for a full table.  At this cap a full
-# table is slow: opt1d_dp(11, 2048) takes 28 s on a 2-core Xeon (numpy 2.4),
-# and every power-of-two k at rho <= 10 takes 1.7-4.0 s in all as the host swings.
+# DP work is k (2^rho - k + 1)^2, largest near k = 2^rho / 3.  At this cap
+# opt1d_dp(11, 683) takes about 4 s on a 2-core Xeon (numpy 2.4), and every
+# power-of-two k at rho <= 10 takes 1.3-1.6 s in all.
 MAX_DP_RESOLUTION = 11
 
 _INF = 1 << 61
@@ -49,41 +49,33 @@ class Opt1DResult:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        prev = 0
-        out = []
-        for b in self.boundaries:
-            out.append(b - prev)
-            prev = b
-        return tuple(out)
+        return tuple(b - a for a, b in zip((0, *self.boundaries), self.boundaries))
 
 
-# Per-rho DP tables, extended lazily as larger k is requested.
-_dp_tables: dict[int, dict] = {}
+def _dp_layers(rho: int, k: int) -> tuple[list, list]:
+    """Band DP tables: F[c][i] = min units for c intervals over c + i points.
 
-
-def _dp_layers(rho: int, k: int) -> dict:
-    """Suffix-cost tables F[c][m] = min units for c intervals over m points.
-
-    One min-plus convolution with the interval-cost vector per layer;
-    argmin takes the first minimum, which is the shortest first interval.
-    Layer c needs runs l <= n - c + 1 only: the first rows of one shared buffer.
+    A k-interval optimum gives its first c intervals between c and n - k + c
+    points, so layer c keeps only the band i < w = n - k + 1, and no run is
+    longer than w.  F[c][i] = min over l = 1..i+1 of ic[l] + F[c-1][i-l+1] is
+    one min-plus convolution per layer; parent[c][i] is the first minimizing
+    l, the shortest first interval.  Nothing is kept between calls, so a
+    sweep over every k at one rho recomputes each table (14 s at rho 9).
     """
-    n = 1 << rho
-    if rho not in _dp_tables:  # layer 0: no points at cost 0, any other count impossible
-        _dp_tables[rho] = {"F": [np.append(0, np.full(n, _INF, dtype=np.int64))], "parent": [None]}
-    state = _dp_tables[rho]
+    w = (1 << rho) - k + 1
     ic = _interval_units(rho)
-    buf = np.empty((n, n + 1), dtype=np.int64)  # pages are touched only as rows fill
-    for c in range(len(state["F"]), k + 1):
-        fpad = np.concatenate([np.full(n, _INF, dtype=np.int64), state["F"][-1]])
-        # hank[l - 1, m] = f_prev[m - l]: rows run l = 1 first so ties
-        # resolve toward the shortest first interval.
-        hank = sliding_window_view(fpad, n + 1)[n - 1:: -1][: n - c + 1]
-        v = np.add(hank, ic[1: n - c + 2, None], out=buf[: n - c + 1])
-        arg = np.argmin(v, axis=0)
-        state["F"].append(v[arg, np.arange(n + 1)])
-        state["parent"].append((arg + 1).astype(np.int16))
-    return state
+    pad = np.full(w - 1, _INF, dtype=np.int64)
+    F, parent = [np.append(0, pad)], [None]       # layer 0: no points at cost 0
+    buf, rows = np.empty((w, w), dtype=np.int64), np.arange(w)
+    for _ in range(k):
+        # Row i, column l - 1 holds F[c-1][i - l + 1]: columns run l = 1 first
+        # so ties resolve toward the shortest first interval.
+        hank = sliding_window_view(np.append(pad, F[-1]), w)[:, ::-1]
+        v = np.add(hank, ic[1: w + 1], out=buf)
+        arg = np.argmin(v, axis=1)
+        F.append(v[rows, arg])
+        parent.append((arg + 1).astype(np.int16))
+    return F, parent
 
 
 def opt1d_dp(rho: int, k: int) -> Opt1DResult:
@@ -100,13 +92,13 @@ def opt1d_dp(rho: int, k: int) -> Opt1DResult:
     n = 1 << rho
     if not 1 <= k <= n:
         raise ValueError(f"cluster count must lie in [1, {n}], got {k}")
-    state = _dp_layers(rho, k)
-    units = int(state["F"][k][n])
+    F, parent = _dp_layers(rho, k)
+    units = int(F[k][-1])
 
     sizes = []
     m = n
     for c in range(k, 0, -1):
-        ell = int(state["parent"][c][m])
+        ell = int(parent[c][m - c])
         sizes.append(ell)
         m -= ell
     assert m == 0

@@ -347,7 +347,6 @@ def _network_simplex(problem: TransportProblem, mu=0):
             leaf = int(owner[j]) * n + j
             core[leaf] = supply
             link(j, n + leaf // n, leaf)
-            price(j)
         # Cycle of the entering arc, as (arc, node it is traversed from), from
         # the apex down to j, across a, and from cluster i back up.
         pn, pa = to_root(j)

@@ -145,7 +145,7 @@ def test_verify_golden_csv_below_full_resolution(tmp_path):
     assert main(["verify", str(inst), "--trials", "3", "--seed", "4", "--out", str(out)]) == 0
     golden = FIXTURES / "verify" / "gen_d2_rho6x6_k2_seed0_trials3_seed4.csv"
     assert out.read_bytes() == golden.read_bytes()
-    assert {r["resolution"] for r in csv.DictReader(out.open())} == {"6x6", "4x4"}
+    assert {r["resolution"] for r in _csv_rows(out)} == {"6x6", "4x4"}
 
 
 def test_verify_golden_csv_anisotropic(tmp_path):
@@ -171,7 +171,7 @@ def test_planning_commands_agree_on_tau(tmp_path, capsys):
     for command in ("verify", "bench"):
         out = tmp_path / f"{command}.csv"
         assert main([command, str(GOLDEN_ANISO), "--trials", "1", "--out", str(out)]) == 0
-        reports[command] = [r["resolution"] for r in csv.DictReader(out.open())]
+        reports[command] = [r["resolution"] for r in _csv_rows(out)]
     assert reports == {"verify": ["5x5"], "bench": ["6x5", "5x5"]}
 
 
@@ -200,7 +200,7 @@ def test_verify_certifies_each_distinct_solve_once(tmp_path, monkeypatch, instan
     out = tmp_path / "r.csv"
     assert main(["verify", str(instance), "--trials", "1", "--out", str(out)]) == 0
     assert len(seen) == calls
-    rows = [r for r in csv.DictReader(out.open()) if r["check"] == "compatibility"]
+    rows = [r for r in _csv_rows(out) if r["check"] == "compatibility"]
     assert len(rows) == 2
 
 
@@ -213,7 +213,7 @@ def test_verify_deterministic_csv(tmp_path):
     # Byte-stable across commits, not only between two runs.
     golden = FIXTURES / "verify" / "gen_d1_rho3_k2_seed0_trials3_seed4.csv"
     assert a.read_bytes() == b.read_bytes() == golden.read_bytes()
-    rows = list(csv.DictReader(a.open()))
+    rows = _csv_rows(a)
     assert set(r["check"] for r in rows) == {
         "property_a", "property_b", "compatibility"}
     assert all(r["wall_time_s"] == "" for r in rows)
@@ -291,7 +291,7 @@ def test_bench_solves_the_sites_verify_draws(tmp_path, anisotropic):
     for command in ("verify", "bench"):
         out = tmp_path / f"{command}.csv"
         assert main([command, str(path), "--trials", "3", "--seed", "5", "--out", str(out)]) == 0
-        reports[command] = list(csv.DictReader(out.open()))
+        reports[command] = _csv_rows(out)
     verified = [(r["trial"], r["objective"], r["resolution"]) for r in reports["verify"]
                 if r["check"] in ("property_b", "transfer")]
     full, coarse = reports["bench"][::2], reports["bench"][1::2]
@@ -307,7 +307,7 @@ def test_verify_anisotropic_transfer(tmp_path):
     out = tmp_path / "rep.csv"
     assert main(["verify", str(inst_path), "--trials", "4", "--seed", "2",
                  "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _csv_rows(out)
     assert [r["check"] for r in rows] == ["transfer"] * 4
     assert all(float(r["margin"]) >= -1e-9 for r in rows)
 
@@ -325,7 +325,7 @@ def test_bench_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     args = ["bench", str(GOLDEN), "--trials", "2", "--seed", "1"]
     assert main(args + ["--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _csv_rows(out)
     assert len(rows) == 4  # full + coarse per trial
     capsys.readouterr()
     assert main(args) == 0  # without --out the report goes to stdout
@@ -356,17 +356,23 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     unbalanced.write_text(json.dumps(
         {"rho": [2], "k": 2, "kappa": [0.5, 0.25], "sites": [[0.2], [0.8]]}))
     assert main(["verify", str(unbalanced)]) == 2
-    # A JSON true where a number belongs is rejected, not read as 1.
+    # A JSON true or a string where a number belongs is rejected, not read as a number.
+    aniso = json.loads(GOLDEN_ANISO.read_text())
     for field, doc in (("kappa", _golden_with(kappa=[[True, 2], [1, 2]])),
                        ("kappa", _k1_with(kappa=[True])),
                        ("sites", _golden_with(sites=[[True], [0.5]])),
                        ("matrices", _golden_with(matrices=[[[True]], [[1.0]]])),
-                       ("epsilon", _golden_with(epsilon=True))):
-        boolean = tmp_path / "boolean.json"
-        boolean.write_text(json.dumps(doc))
+                       ("epsilon", _golden_with(epsilon=True)),
+                       ("epsilon", _golden_with(epsilon="0.25")),
+                       ("sites", _golden_with(sites=[["0.5"], ["0.25"]])),
+                       ("matrices", {**aniso, "matrices": json.loads(  # every entry a string
+                           json.dumps(aniso["matrices"]), parse_float=str, parse_int=str)}),
+                       ("kappa", _golden_with(kappa=["0.75", "0.25"]))):
+        not_number = tmp_path / "not_number.json"
+        not_number.write_text(json.dumps(doc))
         capsys.readouterr()
         for command in ("solve", "verify"):
-            assert main([command, str(boolean)]) == 2
+            assert main([command, str(not_number)]) == 2
             assert f"{field} must hold numbers" in capsys.readouterr().err
     assert main(["gen", "--d", "2", "--rho", "3", "--k", "2"]) == 2  # d mismatch
     capsys.readouterr()
@@ -425,6 +431,11 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     assert cached[2][1][0] == "resolution 2x2" and cached[3][1][0] == "resolution 3x3"
     assert "unrecognized arguments: --no-such-flag" in cached[4][2]
     assert cached[5][1][0].startswith("usage: gridcoreset")
+
+
+def _csv_rows(path):
+    with path.open() as f:
+        return list(csv.DictReader(f))
 
 
 def _golden_with(**fields):

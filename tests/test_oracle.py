@@ -31,21 +31,39 @@ def test_opt1d_frozen():
     assert opt1d_dp(3, 2).cost == 0.01953125
 
 
-def test_dp_layers_match_full_table(monkeypatch):
-    # Rows past l = n - c + 1 never hold a layer's minimum; skipping them changes no entry.
-    monkeypatch.setattr(oracle, "_dp_tables", {})
+def test_dp_layers_match_full_table():
+    # Layer c keeps counts c..n-k+c only; every kept entry equals the full table's.
     for rho in range(9):
         n = 1 << rho
-        F, parent = full_dp_layers(rho, n)
-        for k in sorted({1, 3, n // 2, n} & set(range(1, n + 1))):  # grown lazily, as by opt1d_dp
-            state = oracle._dp_layers(rho, k)
-        assert state["parent"][0] is None and len(state["F"]) == n + 1
-        for c in range(n + 1):
-            np.testing.assert_array_equal(state["F"][c], F[c])
-            assert state["F"][c].dtype == F[c].dtype
-            if c:
-                np.testing.assert_array_equal(state["parent"][c], parent[c])
-                assert state["parent"][c].dtype == np.int16
+        full_F, full_parent = full_dp_layers(rho, n)
+        for k in sorted({1, 3, n // 2, n} & set(range(1, n + 1))):
+            F, parent = oracle._dp_layers(rho, k)
+            assert len(F) == len(parent) == k + 1 and parent[0] is None
+            for c in range(k + 1):
+                np.testing.assert_array_equal(F[c], full_F[c][c: n - k + c + 1])
+                assert F[c].dtype == np.int64
+                if c:
+                    np.testing.assert_array_equal(parent[c], full_parent[c][c: n - k + c + 1])
+                    assert parent[c].dtype == np.int16
+
+
+def _assert_balanced(rho, k):
+    # The run cost a(a^2 - 1)/3 is convex, so balanced runs are optimal, and
+    # the shortest-first tie rule puts the short ones first.
+    q, r = divmod(2**rho, k)
+    assert opt1d_dp(rho, k).sizes == (q,) * (k - r) + (q + 1,) * r
+
+
+def test_opt1d_balanced_runs_every_k():
+    for rho in range(8):
+        for k in range(1, 2**rho + 1):
+            _assert_balanced(rho, k)
+
+
+@given(st.integers(8, 10), st.data())
+@settings(max_examples=10, deadline=None)
+def test_opt1d_balanced_runs_sampled(rho, data):
+    _assert_balanced(rho, data.draw(st.integers(1, 2**rho), label="k"))
 
 
 def test_opt1d_cost_rounds_once_at_the_cap():
