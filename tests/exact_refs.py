@@ -8,7 +8,8 @@ bincount) are the numpy references for the package's extend,
 object_extraction (object-dtype sums) the one for the solver's results,
 meshgrid_coords (meshgrid and stack) the one for grid coordinates, and
 full_dp_layers (every run length in every layer) the one for the oracle's
-interval DP tables.  from_entries and to_dense build and read clusterings
+interval DP tables, and checked_entries (sort keys and one n-long column
+sum) the one for Clustering's input check.  from_entries and to_dense build and read clusterings
 entry by entry and as dense matrices.
 """
 
@@ -21,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gridcoreset.grid import merge_map
-from gridcoreset.model import Clustering
+from gridcoreset.grid import as_int, merge_map
+from gridcoreset.model import COLUMN_SUM_TOL, Clustering, _stored
 from gridcoreset.oracle import _INF, _interval_units
 
 
@@ -148,6 +149,43 @@ def from_entries(k, n, entries) -> Clustering:
     entries = list(entries)
     return Clustering(k=k, n=n, rows=[e[0] for e in entries], cols=[e[1] for e in entries],
                       vals=[e[2] for e in entries])
+
+
+def checked_entries(k, n, rows, cols, vals):
+    """(k, n, rows, cols, vals) as Clustering stores them, or its exception.
+
+    The plain form of Clustering's check, with fine-size temporaries: range
+    checks by min and max, the rows * n + cols sort keys for the order, and
+    one np.add.at into an n-long array for the column sums.
+    """
+    k, n = as_int(k), as_int(n)
+    rows, cols, vals = (np.asarray(a) for a in (rows, cols, vals))
+    if any(a.size and a.dtype.kind not in "iu" for a in (rows, cols)):
+        raise TypeError("cluster and point indices must be integers")
+    rows, cols = _stored(rows, np.int64), _stored(cols, np.int64)
+    vals = _stored(vals, np.float64)
+    if not (rows.shape == cols.shape == vals.shape):
+        raise ValueError("rows, cols, vals must have equal length")
+    if rows.size and (rows.min() < 0 or rows.max() >= k):
+        raise ValueError("cluster index out of range")
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        raise ValueError("point index out of range")
+    if vals.size and not (vals.min() > 0.0 and vals.max() <= 1.0):  # NaN fails too
+        raise ValueError("assignment fractions must lie in (0, 1]")
+    keys = rows * n
+    keys += cols
+    if np.any(keys[1:] <= keys[:-1]):  # strictly increasing: sorted, no duplicates
+        order = np.argsort(keys)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("duplicate (cluster, point) entries")
+    del keys
+    sums = np.zeros(n)
+    np.add.at(sums, cols, vals)
+    worst = max(sums.max() - 1.0, 1.0 - sums.min()) if n else 0.0
+    if worst > COLUMN_SUM_TOL:
+        raise ValueError(f"column sums deviate from 1 by {worst:.3e}")
+    return k, n, rows, cols, vals
 
 
 def to_dense(C) -> np.ndarray:

@@ -277,11 +277,12 @@ def test_extend_hands_its_outputs_to_the_clustering_uncopied(monkeypatch):
 def test_extend_peak_memory():
     # The last pass, on the first axis, writes the new columns and fractions
     # into their own arrays and repeats the rows: three fine-size arrays,
-    # beside inputs r times smaller.  The peak, about 4.1, is those three
-    # outputs and then the sort keys or the column sums of Clustering's
-    # check, which copies no read-only input.  Outputs left writable, which
-    # that check then copies, read 7.1; the bound catches them by itself and
-    # leaves room for about one more fine-size array.
+    # beside inputs r times smaller.  Clustering's check of them copies no
+    # read-only input and allocates no fine-size temporary, only bool
+    # comparisons of neighbours (an eighth of an array each) and one block of
+    # column sums, so the peak is about 3.3.  Sort keys or an n-long sums
+    # array would each add one array, and outputs left writable, which the
+    # check then copies, read 7.1.
     plan = plan_for((9, 9), (4, 4), k=4)
     C_tilde = Clustering.from_labels(4, np.arange(plan.tau.n) % 4)
     tracing = tracemalloc.is_tracing()
@@ -295,7 +296,7 @@ def test_extend_peak_memory():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 5.5 * 8 * plan.rho.n
+    assert peak < 3.75 * 8 * plan.rho.n
 
 
 @st.composite

@@ -2,12 +2,15 @@
 
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gridcoreset import model
+from gridcoreset.coreset import extend, make_plan
 from gridcoreset.grid import as_resolution, coords_array, voxel_volume
 from gridcoreset.model import (
     Clustering,
@@ -20,8 +23,8 @@ from gridcoreset.model import (
 )
 from gridcoreset.solver import solve_assignment
 
-from exact_refs import (clustering_entries, exact_cost, exact_sq_norm, from_entries,
-                        site_fractions, to_dense)
+from exact_refs import (checked_entries, clustering_entries, exact_cost, exact_sq_norm,
+                        from_entries, site_fractions, to_dense)
 
 
 def split_clustering():
@@ -32,6 +35,23 @@ def split_clustering():
 def test_cluster_weights_frozen():
     w = cluster_weights(split_clustering(), (1,))
     assert tuple(w) == (0.75, 0.25)
+
+
+def test_cluster_weights_of_a_read_only_lift():
+    # The lift's rows and fractions are read-only: bincount would copy both,
+    # np.add.at reads them in place and adds in the same entry order.
+    plan = make_plan(3, 0.5, (10, 10), tau=(5, 5))
+    C = extend(Clustering.from_labels(3, np.arange(plan.tau.n) % 3), plan)
+    assert not C.rows.flags.writeable and not C.vals.flags.writeable
+    tracemalloc.start()
+    try:
+        w = cluster_weights(C, plan.rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ref = float(voxel_volume(plan.rho)) * np.bincount(C.rows, weights=C.vals, minlength=3)
+    assert w.tobytes() == ref.tobytes()
+    assert peak < 0.01 * C.rows.nbytes
 
 
 def test_cost_sites_frozen():
@@ -221,6 +241,7 @@ def test_clustering_sorts_only_unsorted_input():
 
 @pytest.mark.parametrize("which, bad, match", [
     ("rows", 3, "cluster index"),
+    ("rows", -1, "cluster index"),
     ("cols", -1, "point index"),
     ("vals", 0.0, r"\(0, 1\]"),
     ("vals", np.nextafter(1.0, 2.0), r"\(0, 1\]"),
@@ -232,6 +253,27 @@ def test_clustering_rejects_a_bad_last_entry(which, bad, match):
     entries[which][-1] = bad
     with pytest.raises(ValueError, match=match):
         Clustering(k=3, n=4, **entries)
+
+
+@pytest.mark.parametrize("col", [model._COLUMN_BLOCK - 1, model._COLUMN_BLOCK])
+def test_clustering_checks_every_column_block(col):
+    # Two clusters take alternate points; the last block holds column n - 1 only.
+    n = model._COLUMN_BLOCK + 1
+    vals = np.ones(n)
+    Clustering(k=2, n=n, rows=np.arange(n) % 2, cols=np.arange(n), vals=vals)
+    vals[col] = 0.5
+    with pytest.raises(ValueError, match="column sums deviate from 1 by 5.000e-01"):
+        Clustering(k=2, n=n, rows=np.arange(n) % 2, cols=np.arange(n), vals=vals)
+
+
+@pytest.mark.parametrize("block", [2, model._COLUMN_BLOCK])
+def test_clustering_keeps_an_empty_leading_cluster(block):
+    rows, cols, vals = sorted_entries()
+    with patch.object(model, "_COLUMN_BLOCK", block):
+        C = Clustering(k=4, n=4, rows=rows + 1, cols=cols, vals=vals)
+    assert C.rows.tolist() == (rows + 1).tolist()
+    assert C.cols.tolist() == cols.tolist() and C.vals.tolist() == vals.tolist()
+    assert [s.stop - s.start for s in C.cluster_slices()] == [0, 2, 2, 1]
 
 
 def test_clustering_checks_the_tail():
@@ -266,8 +308,10 @@ def test_clustering_shares_only_read_only_arrays_that_own_their_data():
 
 
 def test_clustering_copies_no_read_only_input():
-    # A lift hands over read-only arrays.  The sort keys are the largest
-    # temporary (one input's size); a copy of cols or vals would add another.
+    # A lift hands over read-only arrays, sorted.  Their check allocates only
+    # bool comparisons of neighbours (an eighth of an input each) and one
+    # block of column sums; a copy of cols or vals, sort keys or an n-long
+    # sums array would each add a whole input's size.
     k, n = 4, 1 << 16
     rows = np.arange(k * n) // n
     cols = np.arange(k * n) % n
@@ -281,7 +325,7 @@ def test_clustering_copies_no_read_only_input():
     finally:
         tracemalloc.stop()
     assert C.rows is rows and C.cols is cols and C.vals is vals
-    assert peak < 1.5 * cols.nbytes
+    assert peak < 0.75 * cols.nbytes
 
 
 def test_clustering_roundtrip_and_flags():
@@ -293,6 +337,70 @@ def test_clustering_roundtrip_and_flags():
     assert Clustering.from_labels(2, [0, 1]).fractional_count() == 0
     sl = C.cluster_slices()
     assert [float(np.sum(C.vals[s])) for s in sl] == [1.5, 0.5]
+
+
+@st.composite
+def clustering_inputs(draw):
+    """(k, n, rows, cols, vals) of a small clustering, valid or broken by up to three faults."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    used = draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))  # others are empty
+    entries = []
+    for j in range(n):
+        members = draw(st.lists(st.sampled_from(used), min_size=1, unique=True))
+        units = [draw(st.integers(1, 4)) for _ in members]
+        entries += [(i, j, u / sum(units)) for i, u in zip(members, units)]
+    entries.sort()
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries])
+    huge = [-1, -(2**62), 2**62]
+    faults = ["shuffle", "duplicate", "drop", "row", "col", "fraction", "sum"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        if rows.size == 0:
+            break
+        e = draw(st.integers(0, rows.size - 1))
+        if fault == "shuffle":
+            perm = np.array(draw(st.permutations(range(rows.size))))
+            rows, cols, vals = rows[perm], cols[perm], vals[perm]
+        elif fault == "duplicate":
+            at = draw(st.integers(0, rows.size))
+            rows, cols, vals = (np.insert(a, at, a[e]) for a in (rows, cols, vals))
+        elif fault == "drop":
+            rows, cols, vals = (np.delete(a, e) for a in (rows, cols, vals))
+        elif fault == "row":
+            rows[e] = draw(st.sampled_from(huge + [k]) | st.integers(0, k - 1))
+        elif fault == "col":
+            cols[e] = draw(st.sampled_from(huge + [n]) | st.integers(0, n - 1))
+        elif fault == "fraction":
+            vals[e] = draw(st.sampled_from([np.nan, 0.0, -0.0, np.nextafter(1.0, 2.0)]))
+        else:  # a column sum just inside or just outside COLUMN_SUM_TOL
+            vals[e] += draw(st.sampled_from([5e-10, -5e-10, -2e-9]))
+    return k, n, rows, cols, vals
+
+
+def check_outcome(check):
+    """The exception type and message, or (k, n) and the stored arrays' bytes."""
+    try:
+        k, n, *arrays = check()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return k, n, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@given(clustering_inputs(), st.sampled_from([2, 3, 5, model._COLUMN_BLOCK]))
+@example((2, 4, np.ones(4, np.int64), np.arange(4), np.ones(4)), 2)  # cluster 0 empty
+@example((2, 4, np.ones(4, np.int64), np.arange(4), np.full(4, 1 - 2e-9)), 3)
+@settings(max_examples=400, deadline=None)
+def test_clustering_check_matches_reference(inputs, block):
+    k, n, rows, cols, vals = inputs
+
+    def stored():
+        C = Clustering(k=k, n=n, rows=rows, cols=cols, vals=vals)
+        return C.k, C.n, C.rows, C.cols, C.vals
+
+    with patch.object(model, "_COLUMN_BLOCK", block):
+        got = check_outcome(stored)
+    assert got == check_outcome(lambda: checked_entries(k, n, rows, cols, vals))
 
 
 small_rho2 = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
