@@ -183,13 +183,17 @@ _COLUMN_BLOCK = 2**15
 
 
 def _column_sum_error(k: int, n: int, rows, cols, vals) -> float:
-    """max |sum_i xi_ij - 1| over the n columns of sorted, in-range entries.
+    """max |sum_i xi_ij - 1| over the n columns of sorted, unique, in-range entries.
 
     Every column's entries are added in entry order (cluster order), as one
     np.add.at over all columns would, so each sum is the same float; past
     _COLUMN_BLOCK columns they are added one block at a time, each cluster's
     part of a block found by searchsorted, so no n-long array is allocated.
+    Unique entries fewer than n leave a column empty: that raises at once.
     """
+    if cols.size < n:
+        raise ValueError(f"column sums deviate from 1: at least {n - cols.size} of {n} "
+                         "columns are empty")
     if n <= _COLUMN_BLOCK:
         sums = np.zeros(n)
         np.add.at(sums, cols, vals)  # unlike bincount, copies no read-only input
@@ -260,11 +264,9 @@ class Clustering:
             np.less(rows[:-1], rows[1:], out=ordered)
             ordered |= cols[:-1] < cols[1:]
         if not (rows_sorted and ordered.all()):
-            keys = rows * self.n
-            keys += cols
-            order = np.argsort(keys)
+            order = np.lexsort((cols, rows))
             rows, cols, vals = rows[order], cols[order], vals[order]
-            if np.any(np.diff(keys[order]) == 0):
+            if not ((rows[:-1] < rows[1:]) | (cols[:-1] < cols[1:])).all():
                 raise ValueError("duplicate (cluster, point) entries")
         worst = _column_sum_error(self.k, self.n, rows, cols, vals)
         if worst > COLUMN_SUM_TOL:
@@ -322,8 +324,6 @@ def cost_sites(C: Clustering, sites, rho, norms: NormFamily | None = None) -> fl
     nu = float(voxel_volume(rho))
     total = 0.0
     for i, sl in enumerate(C.cluster_slices()):
-        if sl.start == sl.stop:
-            continue
         mat = None if norms is None else norms.matrices[i:i + 1]
         total += float(C.vals[sl] @ sq_dists(pts[C.cols[sl]], s[i:i + 1], mat)[0])
     return nu * total

@@ -182,43 +182,37 @@ def _greedy_start(cost2d: np.ndarray, supply: int, demands):
     order the points come.  Points are processed in decreasing regret, the
     second-cheapest cost minus the cheapest (Vogel's approximation method,
     Reinfeld and Vogel 1958), ties to the lower index, so the points a full
-    cluster pushes out are those nearest another cluster.  A point goes
-    whole to its cheapest cluster if that one has room (ties to the lowest
-    index), and is split over clusters in cost order otherwise.  owner[j]
-    is the cluster of a point assigned whole; core maps every split arc
-    i*n + j to its amount.  A split point exhausts all but at most one of
-    its clusters, so the split arcs form a forest.  It joins the trees of
-    those clusters into one, which keeps its cheapest cluster's
-    representative (rep[i] is cluster i's), and each tree hangs from the root
-    by the artificial arc k*n + a of its representative a, at flow 0.
+    cluster pushes out are those nearest another cluster.  That is the one
+    sort (k = 1 has zero regret, so it keeps index order); the first
+    overflow is found by selection.  A point goes whole to its cheapest
+    cluster if that one has room (ties to the lowest index), and is split
+    over clusters in cost order otherwise.  owner[j] is the cluster of a
+    point assigned whole; core maps every split arc i*n + j to its amount.
+    A split point exhausts all but at most one of its clusters, so the
+    split arcs form a forest.  It joins the trees of those clusters into
+    one, which keeps its cheapest cluster's representative (rep[i] is
+    cluster i's), and each tree hangs from the root by the artificial arc
+    k*n + a of its representative a, at flow 0.
     """
     k, n = cost2d.shape
     owner = np.argmin(cost2d, axis=0)
-    if k > 1:
-        cheapest = np.partition(cost2d, 1, axis=0)
-        order = np.argsort(cheapest[0] - cheapest[1], kind="stable")
-    else:
-        order = np.arange(n)
+    cheapest = np.partition(cost2d, min(1, k - 1), axis=0)[:2]
+    order = np.argsort(cheapest[0] - cheapest[-1], kind="stable")
     chosen = owner[order]
 
     # Every point before the first overflow goes whole to its cheapest
     # cluster.  Cluster i takes room[i] whole points, so its first overflow
     # is its room[i]-th chooser (from 0) in processing order.
-    room = np.array([c // supply for c in demands])
-    by_cluster = np.argsort(chosen, kind="stable")
-    counts = np.bincount(chosen, minlength=k)
-    first = (np.cumsum(counts) - counts + room)[counts > room]
-    t = int(by_cluster[first].min(initial=n))
+    room = [c // supply for c in demands]
+    over = [i for i, m in enumerate(np.bincount(chosen, minlength=k).tolist()) if m > room[i]]
+    t = min((int(np.flatnonzero(chosen == i)[room[i]]) for i in over), default=n)
     cap = [c - supply * m for c, m in zip(demands, np.bincount(chosen[:t], minlength=k).tolist())]
 
     core: dict[int, int] = {}
     rep = list(range(k))
     tail = order[t:]
     by_cost = np.argsort(cost2d[:, tail], axis=0, kind="stable").T.tolist()
-    for j, i, ranked in zip(tail.tolist(), chosen[t:].tolist(), by_cost):
-        if cap[i] >= supply:
-            cap[i] -= supply
-            continue
+    for j, ranked in zip(tail.tolist(), by_cost):
         need = supply
         got: list[tuple[int, int]] = []
         for i in ranked:

@@ -266,6 +266,23 @@ def test_clustering_checks_every_column_block(col):
         Clustering(k=2, n=n, rows=np.arange(n) % 2, cols=np.arange(n), vals=vals)
 
 
+def empty_columns_message(empty, n):
+    return f"column sums deviate from 1: at least {empty} of {n} columns are empty"
+
+
+@pytest.mark.parametrize("k, n, rows, cols, vals", [
+    # k * n > 2^63: a rows * n + cols sort key would read 0 for both entries.
+    (2**24 + 1, 2**40, [2**24, 0], [0, 0], [0.5, 0.5]),
+    # Each raises before any sum; a walk over 2^15-column blocks takes seconds.
+    (3, 2**33, [0, 1, 2], [5, 5, 5], [1.0, 1.0, 1.0]),
+    (1, 2**30, [], [], []),
+], ids=["wrapping-keys", "one-column-of-2^33", "no-entries-2^30"])
+def test_clustering_with_fewer_entries_than_columns(k, n, rows, cols, vals):
+    with pytest.raises(ValueError) as info:
+        Clustering(k=k, n=n, rows=rows, cols=cols, vals=vals)
+    assert str(info.value) == empty_columns_message(n - len(cols), n)
+
+
 @pytest.mark.parametrize("block", [2, model._COLUMN_BLOCK])
 def test_clustering_keeps_an_empty_leading_cluster(block):
     rows, cols, vals = sorted_entries()
@@ -400,7 +417,11 @@ def test_clustering_check_matches_reference(inputs, block):
 
     with patch.object(model, "_COLUMN_BLOCK", block):
         got = check_outcome(stored)
-    assert got == check_outcome(lambda: checked_entries(k, n, rows, cols, vals))
+    want = check_outcome(lambda: checked_entries(k, n, rows, cols, vals))
+    if want[0] is ValueError and want[1].startswith("column sums") and cols.size < n:
+        # Fewer entries than columns leave one empty, which raises before any sum.
+        want = ValueError, empty_columns_message(n - cols.size, n)
+    assert got == want
 
 
 small_rho2 = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
@@ -433,6 +454,21 @@ def test_cost_sites_matches_exact_reference(rho, k, data):
     got = cost_sites(C, sites, rho)
     ref = exact_cost(clustering_entries(C), site_fractions(sites), rho)
     assert abs(got - float(ref)) <= 1e-12 * (1 + abs(got))
+
+
+def test_cost_sites_with_empty_clusters():
+    # Clusters 0, 2 and 4 hold no entry; each adds an empty sum, 0.0.
+    rho = (2, 1)
+    C = from_entries(5, 8, [(1, 0, 1.0), (1, 1, 0.5), (3, 1, 0.5)]
+                     + [(1 + 2 * (j % 2), j, 1.0) for j in range(2, 8)])
+    assert [s.stop - s.start for s in C.cluster_slices()] == [0, 5, 0, 4, 0]
+    sites = np.array([[0.25, 0.5], [0.5, 0.25], [0.75, 0.75], [0.125, 0.875], [1.0, 0.0]])
+    aniso = NormFamily(np.array([np.diag([1.0 + i, 2.0]) for i in range(5)]))
+    exact_aniso = [[[Fraction(float(x)) for x in row] for row in m] for m in aniso.matrices]
+    for norms, exact_norms in ((None, None), (aniso, exact_aniso)):
+        got = cost_sites(C, sites, rho, norms)
+        ref = exact_cost(clustering_entries(C), site_fractions(sites), rho, exact_norms)
+        assert abs(got - float(ref)) <= 1e-12 * (1 + abs(got))
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5), st.data())

@@ -431,6 +431,8 @@ def assert_greedy_start_matches_reference(inst):
     k, n, supply = problem.k, problem.n, problem.supply
     *_, pi_cl, _ = solver._network_simplex(problem)
     covered = {"k = 1"} if k == 1 else set()
+    if min(problem.demands) < supply:
+        covered.add("cluster without room")
     for mu in (np.zeros_like(pi_cl), -pi_cl):
         costs = problem.costs - mu[:, None]
         owner, core = solver._greedy_start(costs, supply, problem.demands)
@@ -452,13 +454,21 @@ def assert_greedy_start_matches_reference(inst):
         assert set(placed.values()) <= {supply}
         if split:
             covered.add("split points")
-        if k > 1:
-            cheapest = np.partition(costs, 1, axis=0)
-            regret = cheapest[1] - cheapest[0]
-            if np.any(regret == 0):
-                covered.add("cost ties")
-            if len(np.unique(regret)) < n:
-                covered.add("regret ties")
+        cheapest = np.partition(costs, min(1, k - 1), axis=0)
+        regret = cheapest[min(1, k - 1)] - cheapest[0]
+        if k > 1 and np.any(regret == 0):
+            covered.add("cost ties")
+        if k > 1 and len(np.unique(regret)) < n:
+            covered.add("regret ties")
+        # In processing order, the first point not placed whole in its
+        # cheapest cluster is the first overflow; a later one that is was
+        # placed whole from the tail.
+        whole = owner == np.argmin(costs, axis=0)
+        whole[list(split_points)] = False
+        whole = whole[sorted(range(n), key=lambda j: (-regret[j], j))]
+        first = np.argmin(whole)
+        if not whole[first] and whole[first:].any():
+            covered.add("tail point placed whole")
     return covered
 
 
@@ -468,7 +478,8 @@ def test_greedy_start_matches_reference_on_fixtures():
     covered = set()
     for inst in _fixture_instances() + [random_instance(rng, on_grid=False) for _ in range(30)]:
         covered |= assert_greedy_start_matches_reference(inst)
-    assert covered == {"k = 1", "split points", "cost ties", "regret ties"}
+    assert covered == {"k = 1", "split points", "cost ties", "regret ties",
+                       "tail point placed whole", "cluster without room"}
 
 
 @given(degenerate_instances(max_bits=8, anisotropic=True))
