@@ -26,7 +26,7 @@ from .coreset import (PROPERTY_A_TOL, PROPERTY_B_TOL, CoresetPlan, make_plan,
                       verify_property_b)
 from .diagrams import PowerDiagram, check_compatibility, from_duals
 from .grid import Resolution, as_int, as_resolution, coords_array
-from .model import Clustering, Instance, NormFamily, cluster_weights
+from .model import Clustering, Instance, cluster_weights
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
 from .solver import PivotLimitError, solve_assignment
 
@@ -95,16 +95,9 @@ def instance_from_dict(doc: dict) -> Instance:
     for field in ("kappa", "sites", "matrices", "epsilon"):
         if doc.get(field) is not None:
             _check_numbers(field, doc[field])
-    kappa = _kappa_from_json(doc["kappa"])
-    norms = None
-    if doc.get("matrices") is not None:
-        norms = NormFamily(np.asarray(doc["matrices"], dtype=np.float64))
-    sites = doc.get("sites")
-    return Instance(
-        k=doc["k"], rho=rho, kappa=kappa,
-        sites=None if sites is None else np.asarray(sites, dtype=np.float64),
-        norms=norms, epsilon=float(doc.get("epsilon", 0.5)),
-    )
+    return Instance(k=doc["k"], rho=rho, kappa=_kappa_from_json(doc["kappa"]),
+                    sites=doc.get("sites"), norms=doc.get("matrices"),
+                    epsilon=doc.get("epsilon", 0.5))
 
 
 def load_instance(path) -> Instance:
@@ -119,13 +112,12 @@ def load_instance(path) -> Instance:
 
 
 def generate_instance(d: int, rho, k: int, seed: int,
-                      anisotropy: tuple[float, float] | None = None,
-                      epsilon: float = 0.5) -> Instance:
+                      anisotropy=None, epsilon: float = 0.5) -> Instance:
     """Random power-diagram instance: sites, offsets, and cell-count weights.
 
-    Each grid point joins the cell minimizing ||x - s||^2 + gamma (lowest
-    index on ties); kappa_i is that cell's point count times the voxel
-    volume, resampled on a fresh substream until every cell is nonempty.
+    Each grid point joins the cell minimizing ||x - s||^2 + gamma (lowest index on ties);
+    kappa_i is that cell's point count times the voxel volume, resampled on a fresh substream
+    until every cell is nonempty.  Norm eigenvalues lie in anisotropy = (lo, hi), read by float().
     """
     rho = as_resolution(rho)
     if rho.d != d:
@@ -146,11 +138,13 @@ def generate_instance(d: int, rho, k: int, seed: int,
     else:
         raise ValueError(f"no nonempty-cell draw in {GEN_ATTEMPTS} attempts")
     kappa = [Fraction(int(c), rho.n) for c in counts]
-    norms = None
+    mats = None
     if anisotropy is not None:
         lo, hi = float(anisotropy[0]), float(anisotropy[1])
         if not 0 < lo <= hi:
             raise ValueError(f"anisotropy range must satisfy 0 < lo <= hi, got {lo}, {hi}")
+        if hi == np.inf:
+            raise ValueError(f"anisotropy range must be finite, got {lo}, {hi}")
         mats = np.empty((k, d, d))
         for i in range(k):
             if lo == hi:
@@ -161,8 +155,7 @@ def generate_instance(d: int, rho, k: int, seed: int,
             eigs = rng.uniform(lo, hi, size=d)
             a = (q * eigs) @ q.T
             mats[i] = (a + a.T) / 2.0
-        norms = NormFamily(mats)
-    return Instance(k=k, rho=rho, kappa=kappa, sites=sites, norms=norms, epsilon=epsilon)
+    return Instance(k=k, rho=rho, kappa=kappa, sites=sites, norms=mats, epsilon=epsilon)
 
 
 class _Reporter:
@@ -199,12 +192,9 @@ def _trials(inst: Instance, seed: int, trials: int):
 
 def _cmd_gen(args) -> int:
     rho = _parse_axes(args.rho)
-    aniso = None
-    if args.anisotropy:
-        pair = args.anisotropy.split(",")
-        if len(pair) != 2:
-            raise ValueError(f"--anisotropy takes lo,hi, got {args.anisotropy!r}")
-        aniso = (float(pair[0]), float(pair[1]))
+    aniso = args.anisotropy.split(",") if args.anisotropy else None
+    if aniso is not None and len(aniso) != 2:
+        raise ValueError(f"--anisotropy takes lo,hi, got {args.anisotropy!r}")
     inst = generate_instance(args.d, rho, args.k, args.seed,
                              anisotropy=aniso, epsilon=args.epsilon)
     out = args.out or f"instance_d{args.d}_k{args.k}_seed{args.seed}.json"
@@ -216,7 +206,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    resolution = as_resolution(_parse_axes(args.tau)) if args.tau else None
+    resolution = _parse_axes(args.tau) if args.tau else None
     t0 = time.perf_counter()
     res = solve_assignment(inst, resolution=resolution)
     dt = time.perf_counter() - t0
@@ -247,10 +237,8 @@ def _load_plan(args) -> tuple[Instance, CoresetPlan]:
     inst = load_instance(args.instance)
     if args.epsilon is not None:  # Instance checks it, before any division
         inst = replace(inst, epsilon=args.epsilon)
-    epsilon = Fraction(str(inst.epsilon))
-    if inst.norms is not None:
-        epsilon /= 3
-    tau = as_resolution(_parse_axes(args.tau)) if args.tau else None
+    epsilon = inst.epsilon if inst.norms is None else Fraction(str(inst.epsilon)) / 3
+    tau = _parse_axes(args.tau) if args.tau else None
     return inst, make_plan(inst.k, epsilon, inst.rho, tau=tau)
 
 
@@ -280,7 +268,7 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
         resid, lifted = verify_property_a(c_tilde, sites, inst, plan)
         bound = PROPERTY_A_TOL * (1.0 + lifted)
         row = reporter.add(plan.tau, t, "property_a", margin=resid, bound=bound)
-        if resid > bound:
+        if not resid <= bound:  # NaN fails too
             return row
 
         margin, fine, coarse = verify_property_b(sites, inst, plan)
@@ -288,7 +276,7 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
                            delta=plan.delta, margin=margin,
                            bound=(1.0 + plan.epsilon) * fine.objective,
                            fractional_count=coarse.fractional_count)
-        if margin < -PROPERTY_B_TOL:
+        if not margin >= -PROPERTY_B_TOL:
             return row
 
         rep = None
@@ -315,7 +303,7 @@ def _verify_anisotropic(inst, plan, reporter, trials, seed) -> dict | None:
                            delta=plan.delta, bound=bound, margin=margin,
                            quality_ratio=lifted.extended_cost / best.objective
                            if best.objective > 0 else None)
-        if margin < -PROPERTY_B_TOL:
+        if not margin >= -PROPERTY_B_TOL:
             return row
     return None
 
@@ -450,7 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PivotLimitError as exc:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import Resolution, as_int, as_resolution, batch_error_exact
-from .model import Clustering, Instance, NormFamily, cost_sites, site_array
+from .model import Clustering, Instance, NormFamily, cost_sites
 from .solver import SolveResult, solve_assignment
 
 PROPERTY_A_TOL = 1e-10
@@ -37,7 +37,7 @@ def coarsening_exponent(k: int, epsilon) -> int:
     This is ceil(log2(2^(5/3) k / eps^(2/3))) computed in exact integer
     arithmetic, so power-of-two boundary cases round correctly.
     """
-    if k < 1:
+    if as_int(k) < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
     eps = _exact_epsilon(epsilon)
     if not 0 < eps <= Fraction(1, 2):
@@ -217,7 +217,7 @@ def solve_coarse(instance: Instance, sites=None, *, plan: CoresetPlan) -> Coarse
     The plan, and with it epsilon, is the caller's choice.
     """
     _check_plan(instance, plan)
-    sites = site_array(instance.sites if sites is None else sites, instance.k, instance.d)
+    sites = instance.sites if sites is None else sites
     euclid = instance if instance.norms is None else replace(instance, norms=None)
     coarse = solve_assignment(euclid, resolution=plan.tau, sites=sites)
     cost = cost_sites(coarse.clustering, sites, plan.tau, instance.norms)

@@ -160,7 +160,7 @@ class Instance:
 
         if self.norms is not None:
             if not isinstance(self.norms, NormFamily):
-                object.__setattr__(self, "norms", NormFamily(np.asarray(self.norms)))
+                object.__setattr__(self, "norms", NormFamily(self.norms))
             if self.norms.k != k or self.norms.d != rho.d:
                 raise ValueError(
                     f"norm family shape ({self.norms.k}, {self.norms.d}) does not match "
@@ -323,8 +323,11 @@ def cost_sites(C: Clustering, sites, rho, norms: NormFamily | None = None) -> fl
     pts = coords_array(rho)
     nu = float(voxel_volume(rho))
     total = 0.0
-    for i, sl in enumerate(C.cluster_slices()):
-        mat = None if norms is None else norms.matrices[i:i + 1]
-        total += float(C.vals[sl] @ sq_dists(pts[C.cols[sl]], s[i:i + 1], mat)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN reaches total
+        for i, sl in enumerate(C.cluster_slices()):
+            mat = None if norms is None else norms.matrices[i:i + 1]
+            total += float(C.vals[sl] @ sq_dists(pts[C.cols[sl]], s[i:i + 1], mat)[0])
+    if not np.isfinite(total):
+        raise ValueError(f"costs overflow float64: the cost sums to {total}")
     return nu * total
 

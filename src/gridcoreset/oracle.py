@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import coords_array, voxel_volume
+from .grid import as_int, coords_array, voxel_volume
 from .model import Clustering, Instance, site_array, sq_dists
 
 # DP work is k (2^rho - k + 1)^2, largest near k = 2^rho / 3.  At this cap
@@ -85,8 +85,7 @@ def opt1d_dp(rho: int, k: int) -> Opt1DResult:
     interval partitions searches the whole space.  Ties break toward the
     lexicographically shortest interval sequence.
     """
-    rho = int(rho)
-    k = int(k)
+    rho, k = as_int(rho), as_int(k)
     if not 0 <= rho <= MAX_DP_RESOLUTION:
         raise ValueError(f"resolution must lie in [0, {MAX_DP_RESOLUTION}], got {rho}")
     n = 1 << rho
@@ -125,8 +124,7 @@ def opt1d_closed(rho: int, gamma: int) -> float:
     The optimal clusters are the 2^gamma equal consecutive runs and the
     value is exactly dyadic (4^m - 1 is divisible by 3).
     """
-    rho = int(rho)
-    gamma = int(gamma)
+    rho, gamma = as_int(rho), as_int(gamma)
     if rho < 0 or gamma < 0:
         raise ValueError("exponents must be nonnegative")
     if gamma > rho:
@@ -141,8 +139,7 @@ def lower_bound_1d(rho: int, k: int) -> float:
     Valid for any k sites, constrained or not; below opt1d_dp(rho, k)
     whenever positive.
     """
-    rho = int(rho)
-    k = int(k)
+    rho, k = as_int(rho), as_int(k)
     if k < 2:
         raise ValueError(f"the bound needs k >= 2, got {k}")
     value = Fraction(1, 3) * Fraction(1, 4 ** (rho + 1)) * (Fraction(4 ** (rho - 1), k * k) - 1)

@@ -147,6 +147,8 @@ def build_transport(instance: Instance, resolution=None, sites=None) -> Transpor
         costs = sq_dists((pts * scale).astype(np.int64), (s * scale).astype(np.int64))
     else:
         costs = sq_dists(pts, s, None if instance.norms is None else instance.norms.matrices)
+        if not costs.max(initial=0.0) < np.inf:  # einsum overflows to inf or NaN unraised
+            raise ValueError("costs overflow float64: the sites or norm matrices are too large")
 
     return TransportProblem(
         resolution=r, costs=costs, supply=supply, demands=demands,
@@ -421,49 +423,56 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
     is an integer multiple of nu(r), the basic optimum is integer; in
     general at most 2(k-1) fractions are fractional.
     """
-    # The top level is built first, so a bad resolution or the arc cap fails
-    # before any solving.  Level m lowers each exponent above _LADDER_BASE by
-    # m, not below it, and starts from mu = -pi of level m + 1: C - mu sums
-    # 2k+5 costs, within int64.  Every level prices in the top level's unit.
-    top = build_transport(instance, resolution=resolution, sites=sites)
-    exps = top.resolution.exponents
-    mu, pivots = 0, 0
-    for m in range(max(max(exps) - _LADDER_BASE, 0), -1, -1):
-        level = tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps)
-        problem = build_transport(instance, level, sites) if m else top
-        owner, core, pi_cl, p = _network_simplex(problem, mu)
-        mu, pivots = -pi_cl, pivots + p
-    k, n = problem.k, problem.n
-    arcs, flows = _support(problem, owner, core)
-    clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
-                            vals=flows / float(problem.supply))
+    # Potentials and sums past float64 raise FloatingPointError, not a warning.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # The top level is built first, so a bad resolution or the arc cap fails
+            # before any solving.  Level m lowers each exponent above _LADDER_BASE by
+            # m, not below it, and starts from mu = -pi of level m + 1: C - mu sums
+            # 2k+5 costs, within int64.  Every level prices in the top level's unit.
+            top = build_transport(instance, resolution=resolution, sites=sites)
+            exps = top.resolution.exponents
+            mu, pivots = 0, 0
+            for m in range(max(max(exps) - _LADDER_BASE, 0), -1, -1):
+                level = tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps)
+                problem = build_transport(instance, level, sites) if m else top
+                owner, core, pi_cl, p = _network_simplex(problem, mu)
+                mu, pivots = -pi_cl, pivots + p
+            k, n = problem.k, problem.n
+            arcs, flows = _support(problem, owner, core)
+            clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
+                                    vals=flows / float(problem.supply))
 
-    # Dual objective and duals mu_i = pi_1 - pi_i: in Python integers over
-    # 2^-unit_bits 4^-cost_bits on the exact path, each rounded once (int / int
-    # is correctly rounded); in float64 otherwise, where scale is 1 and the
-    # duals are the float differences themselves.
-    pi_pts = pi_cl[owner] + problem.costs[owner, np.arange(n)]
-    pi = pi_cl.tolist()
-    mu = [pi[0] - v for v in pi]
-    scale = 1 << (2 * problem.cost_bits)
-    duals = tuple(v / scale for v in mu)
-    if problem.exact:
-        dual = (problem.supply * (sum(pi_pts.tolist()) - n * pi[0])
-                + sum(map(operator.mul, problem.demands, mu)))
-        dual_objective = dual / (scale << problem.unit_bits)
-    else:
-        dual = (problem.supply * np.sum(pi_pts - pi_cl[0])
-                + np.dot(np.array(problem.demands, dtype=np.float64), mu))
-        dual_objective = float(2.0 ** -problem.unit_bits * dual)
+            # Dual objective and duals mu_i = pi_1 - pi_i: in Python integers over
+            # 2^-unit_bits 4^-cost_bits on the exact path, each rounded once (int / int
+            # is correctly rounded); in float64 otherwise, where scale is 1 and the
+            # duals are the float differences themselves.
+            pi_pts = pi_cl[owner] + problem.costs[owner, np.arange(n)]
+            pi = pi_cl.tolist()
+            mu = [pi[0] - v for v in pi]
+            scale = 1 << (2 * problem.cost_bits)
+            duals = tuple(v / scale for v in mu)
+            if problem.exact:
+                dual = (problem.supply * (sum(pi_pts.tolist()) - n * pi[0])
+                        + sum(map(operator.mul, problem.demands, mu)))
+                dual_objective = dual / (scale << problem.unit_bits)
+            else:
+                dual = (problem.supply * np.sum(pi_pts - pi_cl[0])
+                        + np.dot(np.array(problem.demands, dtype=np.float64), mu))
+                dual_objective = float(2.0 ** -problem.unit_bits * dual)
+            if not np.isfinite(dual_objective):  # a mu_i, a Python float, overflows unraised
+                raise ValueError(f"costs overflow float64: dual objective {dual_objective}")
 
-    return SolveResult(
-        clustering=clustering,
-        objective=_objective(problem, arcs, flows),
-        duals=duals,
-        fractional_count=clustering.fractional_count(),
-        resolution=problem.resolution,
-        dual_objective=dual_objective,
-        pivots=pivots,
-        exact=problem.exact,
-    )
+            return SolveResult(
+                clustering=clustering,
+                objective=_objective(problem, arcs, flows),
+                duals=duals,
+                fractional_count=clustering.fractional_count(),
+                resolution=problem.resolution,
+                dual_objective=dual_objective,
+                pivots=pivots,
+                exact=problem.exact,
+            )
+    except FloatingPointError as exc:
+        raise ValueError(f"costs overflow float64: {exc}") from None
 

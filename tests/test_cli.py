@@ -1,10 +1,12 @@
 """Command-line surface: files, determinism, exit codes, report schema."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -234,15 +236,24 @@ def test_report_fields_keep_numpy_scalars_plain():
     assert row["delta"] == "" and row["resolution"] == "3"
 
 
-# property_b fails for real at tau = 0; the other checks are made to fail.
-@pytest.mark.parametrize("check, fake", [
-    ("property_a", ("verify_property_a", lambda *a: (np.float64(1.0), 0.0))),
-    ("property_b", None),
+NAN = float("nan")
+FAKE_SOLVE = SimpleNamespace(objective=0.5, fractional_count=0)
+
+
+# property_b fails for real at tau = 0; the other checks are made to fail.  A
+# margin of None is a real violation, below -1e-9; a NaN margin fails too.
+@pytest.mark.parametrize("check, fake, margin", [
+    ("property_a", ("verify_property_a", lambda *a: (np.float64(1.0), 0.0)), "1.0"),
+    ("property_b", None, None),
     ("compatibility", ("check_compatibility",
-                       lambda *a: SimpleNamespace(compatible=False, worst_violation=1.0))),
-    ("transfer", ("transfer_bound", lambda *a: 0.5)),
-], ids=["property_a", "property_b", "compatibility", "transfer"])
-def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake):
+                       lambda *a: SimpleNamespace(compatible=False, worst_violation=1.0)), "1.0"),
+    ("transfer", ("transfer_bound", lambda *a: 0.5), None),
+    ("property_a", ("verify_property_a", lambda *a: (NAN, 0.0)), "nan"),
+    ("property_b", ("verify_property_b", lambda *a: (NAN, FAKE_SOLVE, FAKE_SOLVE)), "nan"),
+    ("transfer", ("transfer_bound", lambda *a: NAN), "nan"),
+], ids=["property_a", "property_b", "compatibility", "transfer",
+        "property_a-nan", "property_b-nan", "transfer-nan"])
+def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake, margin):
     path = tmp_path / "a,b.json"  # the stderr row quotes fields as the report does
     if check == "transfer":
         main(["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--seed", "3",
@@ -258,10 +269,10 @@ def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake):
     assert len(fields) == len(CSV_FIELDS)
     assert fields[CSV_FIELDS.index("instance_id")] == "a,b"
     assert fields[CSV_FIELDS.index("check")] == check
-    if check in ("property_b", "transfer"):
+    if margin is None:
         assert float(fields[CSV_FIELDS.index("margin")]) < -1e-9
-    if check == "property_a":  # a numpy float64, written as its value
-        assert fields[CSV_FIELDS.index("margin")] == "1.0"
+    else:  # property_a's is a numpy float64, written as its value
+        assert fields[CSV_FIELDS.index("margin")] == margin
 
 
 def _trial_instance(tmp_path, anisotropic):
@@ -501,6 +512,11 @@ D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
     (["gen", "--d", "1", "--rho", "3", "--k", "8"], "no nonempty-cell draw in 100 attempts"),
     (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "3,1"],
      "anisotropy range must satisfy 0 < lo <= hi, got 3.0, 1.0"),
+    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1,inf"],
+     "anisotropy range must be finite, got 1.0, inf"),
+    # 2^48 points: numpy refuses the 6 PiB coordinate array at once, as it
+    # exceeds any address space; never test a size a machine might fill.
+    (["gen", "--d", "3", "--rho", "20,20,8", "--k", "2"], "Unable to allocate"),
     (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1"],
      "--anisotropy takes lo,hi, got '1'"),
     (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1,2,3"],
@@ -511,7 +527,7 @@ D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
     (["verify", str(GOLDEN_ANISO), "--epsilon", "1.2", "--out", "r.csv"],
      "epsilon must lie in (0, 1/2], got 1.2"),
 ], ids=["file-d-mismatch", "gen-k-above-n", "gen-draws-exhausted", "gen-anisotropy-reversed",
-        "gen-anisotropy-one-value", "gen-anisotropy-three-values", "coarsen-epsilon-above-half",
+        "gen-anisotropy-infinite", "gen-grid-past-memory", "gen-anisotropy-one-value", "gen-anisotropy-three-values", "coarsen-epsilon-above-half",
         "verify-epsilon-above-half"])
 def test_rejected_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -519,6 +535,83 @@ def test_rejected_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [D_MISMATCH]  # gen wrote nothing
+
+
+def test_float_overflow_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.json"  # a valid file whose costs overflow float64
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(_golden_with(sites=[[1e200], [0.5]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "2",
+                     "--anisotropy", "1e308,1e308", "--out", str(big)]) == 0
+        for argv in (["solve", str(big)], ["verify", str(big), "--trials", "1"],
+                     ["bench", str(big), "--trials", "1"], ["solve", str(far)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert err.startswith("error: costs overflow float64"), argv
+            assert "objective" not in out and "all passed" not in out
+
+
+def test_huge_finite_costs_solve_as_before(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps(_golden_with(sites=[[1e150], [0.5]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "2",
+                     "--anisotropy", "1e306,1e306", "--out", str(huge)]) == 0
+        for path, objective in ((huge, "2.315852792735594e+305"),
+                                (near, "7.499999999999999e+299")):
+            capsys.readouterr()
+            assert main(["solve", str(path)]) == 0
+            assert f"objective {objective}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "cluster count must be >= 1, got 0"),
+    (5000, "cluster count 5000 exceeds point count 2048"),
+    (2, "matrices not symmetric"),
+], ids=["k-zero", "k-above-n", "k-valid"])
+def test_instance_checks_k_before_matrices(tmp_path, capsys, k, message):
+    # Instance checks its fields in order, so a bad k is named before bad matrices.
+    path = tmp_path / "two_defects.json"
+    doc = {**json.loads(GOLDEN_ANISO.read_text()), "k": k,
+           "matrices": [[[1.0, 0.5], [0.0, 1.0]]] * 2}
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def _same_array(a, b):
+    return (a.dtype, a.shape, a.flags.writeable, a.tobytes()) == \
+        (b.dtype, b.shape, b.flags.writeable, b.tobytes())
+
+
+def test_fixture_files_load_as_float64_fields():
+    # The loader hands each field to Instance as read from JSON; the result
+    # equals an Instance built from fields converted to float64 first.
+    paths = sorted((FIXTURES / "instances").glob("*.json"))
+    assert len(paths) == 3
+    for path in paths:
+        doc = json.loads(path.read_text())
+        mats = doc["matrices"]
+        built = Instance(k=doc["k"], rho=doc["rho"], kappa=cli._kappa_from_json(doc["kappa"]),
+                         sites=np.asarray(doc["sites"], dtype=np.float64),
+                         norms=None if mats is None else NormFamily(np.asarray(mats, np.float64)),
+                         epsilon=float(doc["epsilon"]))
+        loaded = load_instance(path)
+        for field in dataclasses.fields(Instance):
+            a, b = getattr(loaded, field.name), getattr(built, field.name)
+            if field.name == "sites":
+                assert _same_array(a, b), path
+            elif field.name == "norms" and mats is not None:
+                assert _same_array(a.matrices, b.matrices), path
+                assert (a.lambda_min, a.lambda_max) == (b.lambda_min, b.lambda_max), path
+            else:
+                assert (type(a), a) == (type(b), b), (path, field.name)
+    assert any(json.loads(p.read_text())["matrices"] is not None for p in paths)
 
 
 def test_pivot_cap_exits_3(monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcoreset import coreset
+from gridcoreset import coreset, solver
 from gridcoreset.coreset import (
     PROPERTY_A_TOL,
     PROPERTY_B_TOL,
@@ -61,6 +61,12 @@ def test_coarsening_exponent_validation():
         coarsening_exponent(2, 0.6)
     with pytest.raises(ValueError):
         coarsening_exponent(2, 0.0)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True])
+def test_coarsening_exponent_rejects_non_integer_k(k):
+    with pytest.raises(TypeError):
+        coarsening_exponent(k, 0.5)
 
 
 def test_target_resolution_clamps_per_axis():
@@ -458,6 +464,18 @@ def test_solve_coarse_identity_at_full_resolution():
     fine = solve_assignment(inst)
     assert out.extended_cost == fine.objective
     assert np.array_equal(to_dense(out.extended), to_dense(fine.clustering))
+
+
+def test_solve_coarse_without_sites_raises_before_solving(monkeypatch):
+    def simplex(*args, **kwargs):
+        raise AssertionError("solved without sites")
+
+    monkeypatch.setattr(solver, "_network_simplex", simplex)
+    inst, plan = Instance(k=2, rho=(6,), kappa=(0.5, 0.5)), make_plan(2, 0.5, (6,))
+    with pytest.raises(ValueError, match="no sites"):
+        solve_coarse(inst, plan=plan)
+    with pytest.raises(AssertionError, match="solved without sites"):  # the patch holds
+        solve_coarse(inst, sites=[[0.2], [0.9]], plan=plan)
 
 
 def test_solve_coarse_lift_is_feasible_and_close():

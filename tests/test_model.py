@@ -1,6 +1,7 @@
 """Instances, clusterings, weights, and cost evaluation."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -59,6 +60,18 @@ def test_cost_sites_frozen():
     assert cost_sites(C, [[0.5]], (1,)) == 0.0625
     norms = NormFamily(np.array([[[4.0]]]))
     assert cost_sites(C, [[0.5]], (1,), norms) == 0.25
+
+
+@pytest.mark.parametrize("sites, norms", [
+    ([[1e200]], None),                          # each cost overflows inside the kernel
+    ([[0.5]], NormFamily(np.array([[[1e308]]]))),  # finite costs whose sum overflows
+], ids=["cost-overflows", "sum-overflows"])
+def test_cost_sites_past_float64_raises(sites, norms):
+    C = Clustering.from_labels(1, np.zeros(64, dtype=np.int64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="costs overflow float64"):
+            cost_sites(C, sites, (6,), norms)
 
 
 def test_cost_sites_zero_at_own_points():

@@ -157,6 +157,17 @@ def test_opt1d_validation():
         lower_bound_1d(3, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: opt1d_dp(4.9, 2), lambda: opt1d_dp(True, 1), lambda: opt1d_dp(4, 2.0),
+    lambda: opt1d_closed(3.0, 1), lambda: opt1d_closed(3, True),
+    lambda: lower_bound_1d(5, 3.5), lambda: lower_bound_1d(True, 2),
+], ids=["dp-rho-float", "dp-rho-bool", "dp-k-float", "closed-rho-float", "closed-gamma-bool",
+        "bound-k-float", "bound-rho-bool"])
+def test_oracle_rejects_non_integers(call):
+    with pytest.raises(TypeError, match="integer"):
+        call()
+
+
 def test_brute_force_limits():
     with pytest.raises(ValueError):
         brute_force_constrained(

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -650,3 +651,33 @@ def test_matches_brute_force():
         res = solve_assignment(inst)
         ref = brute_force_constrained(inst)
         assert abs(res.objective - ref.cost) <= 1e-10 * (1 + abs(ref.cost))
+
+
+TOO_LARGE = "the sites or norm matrices are too large"
+
+
+@pytest.mark.parametrize("fields, message", [
+    # The kernel overflows to inf unraised; the built costs are checked.
+    (dict(rho=(6,), kappa=(0.5, 0.5), sites=[[1e200], [0.5]]), TOO_LARGE),
+    # inf only off the greedy start's arcs, where it would make the pricing
+    # tolerance infinite and the start pass as optimal with 0 pivots.
+    (dict(rho=(3, 3), kappa=(1 / 64, 63 / 64), sites=[[0.0, 0.0], [0.9, 0.9]],
+          norms=np.array([1.5e308 * np.eye(2), 1e297 * np.eye(2)])), TOO_LARGE),
+    # Finite costs whose sums overflow raise inside the solve.
+    (dict(rho=(6,), kappa=(0.5, 0.5), sites=[[0.0], [1.0]],
+          norms=np.array([[[1e308]], [[1e308]]])), "overflow encountered"),
+], ids=["cost-overflows", "cost-overflows-off-start", "sum-overflows"])
+def test_costs_past_float64_raise(fields, message):
+    inst = Instance(k=2, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"costs overflow float64: {message}"):
+            solve_assignment(inst)
+
+
+def test_huge_finite_costs_keep_their_value():
+    inst = Instance(k=2, rho=(3,), kappa=(0.75, 0.25), sites=[[1e150], [0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_assignment(inst)
+    assert (res.objective, res.dual_objective) == (7.499999999999999e+299,) * 2
