@@ -126,6 +126,12 @@ def generate_instance(d: int, rho, k: int, seed: int,
         raise ValueError(f"cluster count must be >= 1, got {k}")
     if k > rho.n:
         raise ValueError(f"cluster count {k} exceeds point count {rho.n}")
+    if anisotropy is not None:
+        lo, hi = float(anisotropy[0]), float(anisotropy[1])
+        if not 0 < lo <= hi:
+            raise ValueError(f"anisotropy range must satisfy 0 < lo <= hi, got {lo}, {hi}")
+        if hi == np.inf:
+            raise ValueError(f"anisotropy range must be finite, got {lo}, {hi}")
     pts = coords_array(rho)
     for attempt in range(GEN_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_GEN, attempt)))
@@ -140,11 +146,6 @@ def generate_instance(d: int, rho, k: int, seed: int,
     kappa = [Fraction(int(c), rho.n) for c in counts]
     mats = None
     if anisotropy is not None:
-        lo, hi = float(anisotropy[0]), float(anisotropy[1])
-        if not 0 < lo <= hi:
-            raise ValueError(f"anisotropy range must satisfy 0 < lo <= hi, got {lo}, {hi}")
-        if hi == np.inf:
-            raise ValueError(f"anisotropy range must be finite, got {lo}, {hi}")
         mats = np.empty((k, d, d))
         for i in range(k):
             if lo == hi:
@@ -362,17 +363,19 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-class _AtLeastOne(argparse.Action):
-    """Stores an int option's value, refusing one below 1 as a usage error (exit 2)."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
-        setattr(namespace, self.dest, value)
+def _at_least_one(text: str) -> int:
+    """An int option's value, refusing a non-int or one below 1 as a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _trial_options(p: argparse.ArgumentParser, trials: int) -> None:
-    p.add_argument("--trials", type=int, default=trials, action=_AtLeastOne)
+    p.add_argument("--trials", type=_at_least_one, default=trials)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write ReportRows as CSV")
 

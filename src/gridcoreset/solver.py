@@ -41,7 +41,6 @@ and the start change the pivot path, never the optimum.
 from __future__ import annotations
 
 import logging
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -403,13 +402,11 @@ def _support(problem: TransportProblem, owner, core):
 
 
 def _objective(problem: TransportProblem, arcs, flows) -> float:
-    """Cost of a support: in Python integers over 2^-unit_bits 4^-cost_bits
-    on the exact path, rounded once; in float64 otherwise."""
-    costs = problem.costs.ravel()[arcs]
-    if problem.exact:
-        total = sum(map(operator.mul, flows.tolist(), costs.tolist()))
-        return total / (1 << (problem.unit_bits + 2 * problem.cost_bits))
-    return 2.0 ** -problem.unit_bits * float(np.dot(flows.astype(np.float64), costs))
+    """Cost of a support over 2^-unit_bits 4^-cost_bits, rounded once: int / int
+    is correctly rounded, and a float64 over a power of two is scaled exactly."""
+    dtype = object if problem.exact else np.float64
+    total = np.dot(flows.astype(dtype), problem.costs.ravel()[arcs].astype(dtype))
+    return float(total / (1 << (problem.unit_bits + 2 * problem.cost_bits)))
 
 
 def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
@@ -423,7 +420,7 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
     is an integer multiple of nu(r), the basic optimum is integer; in
     general at most 2(k-1) fractions are fractional.
     """
-    # Potentials and sums past float64 raise FloatingPointError, not a warning.
+    # Potentials, duals and sums past float64 raise FloatingPointError, not a warning.
     try:
         with np.errstate(over="raise", invalid="raise"):
             # The top level is built first, so a bad resolution or the arc cap fails
@@ -443,33 +440,23 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
             clustering = Clustering(k=k, n=n, rows=arcs // n, cols=arcs % n,
                                     vals=flows / float(problem.supply))
 
-            # Dual objective and duals mu_i = pi_1 - pi_i: in Python integers over
-            # 2^-unit_bits 4^-cost_bits on the exact path, each rounded once (int / int
-            # is correctly rounded); in float64 otherwise, where scale is 1 and the
-            # duals are the float differences themselves.
-            pi_pts = pi_cl[owner] + problem.costs[owner, np.arange(n)]
-            pi = pi_cl.tolist()
-            mu = [pi[0] - v for v in pi]
+            # Duals mu_i = pi_1 - pi_i and the dual objective by _objective's rule:
+            # Python integers (object arrays) on the exact path, float64 otherwise.
+            dtype = object if problem.exact else np.float64
+            pi = pi_cl.astype(dtype)
+            pi_pts = (pi_cl[owner] + problem.costs[owner, np.arange(n)]).astype(dtype)
+            mu = pi[0] - pi
+            dual = (problem.supply * np.sum(pi_pts - pi[0])
+                    + np.dot(np.array(problem.demands, dtype=dtype), mu))
             scale = 1 << (2 * problem.cost_bits)
-            duals = tuple(v / scale for v in mu)
-            if problem.exact:
-                dual = (problem.supply * (sum(pi_pts.tolist()) - n * pi[0])
-                        + sum(map(operator.mul, problem.demands, mu)))
-                dual_objective = dual / (scale << problem.unit_bits)
-            else:
-                dual = (problem.supply * np.sum(pi_pts - pi_cl[0])
-                        + np.dot(np.array(problem.demands, dtype=np.float64), mu))
-                dual_objective = float(2.0 ** -problem.unit_bits * dual)
-            if not np.isfinite(dual_objective):  # a mu_i, a Python float, overflows unraised
-                raise ValueError(f"costs overflow float64: dual objective {dual_objective}")
 
             return SolveResult(
                 clustering=clustering,
                 objective=_objective(problem, arcs, flows),
-                duals=duals,
+                duals=tuple(float(v / scale) for v in mu),
                 fractional_count=clustering.fractional_count(),
                 resolution=problem.resolution,
-                dual_objective=dual_objective,
+                dual_objective=float(dual / (scale << problem.unit_bits)),
                 pivots=pivots,
                 exact=problem.exact,
             )

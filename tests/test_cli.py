@@ -399,6 +399,10 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and "argument --trials: must be at least 1" in err
     assert not report.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(GOLDEN), "--trials", "2.5"])
+    assert exc.value.code == 2
+    assert "argument --trials: invalid int value: '2.5'" in capsys.readouterr().err
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
@@ -512,6 +516,9 @@ D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
     (["gen", "--d", "1", "--rho", "3", "--k", "8"], "no nonempty-cell draw in 100 attempts"),
     (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "3,1"],
      "anisotropy range must satisfy 0 < lo <= hi, got 3.0, 1.0"),
+    # Checked before the 2^48-point coordinate array is asked for.
+    (["gen", "--d", "3", "--rho", "20,20,8", "--k", "2", "--anisotropy", "3,1"],
+     "anisotropy range must satisfy 0 < lo <= hi, got 3.0, 1.0"),
     (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1,inf"],
      "anisotropy range must be finite, got 1.0, inf"),
     # 2^48 points: numpy refuses the 6 PiB coordinate array at once, as it
@@ -527,7 +534,8 @@ D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
     (["verify", str(GOLDEN_ANISO), "--epsilon", "1.2", "--out", "r.csv"],
      "epsilon must lie in (0, 1/2], got 1.2"),
 ], ids=["file-d-mismatch", "gen-k-above-n", "gen-draws-exhausted", "gen-anisotropy-reversed",
-        "gen-anisotropy-infinite", "gen-grid-past-memory", "gen-anisotropy-one-value", "gen-anisotropy-three-values", "coarsen-epsilon-above-half",
+        "gen-anisotropy-reversed-past-memory", "gen-anisotropy-infinite", "gen-grid-past-memory",
+        "gen-anisotropy-one-value", "gen-anisotropy-three-values", "coarsen-epsilon-above-half",
         "verify-epsilon-above-half"])
 def test_rejected_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

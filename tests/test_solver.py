@@ -424,6 +424,14 @@ def test_exact_extraction_past_int64():
     assert objective == dual_objective == float(exact)
 
 
+def test_float_extraction_at_the_largest_unit():
+    # kappa over 2^53, the weight cap: the float path's sums are scaled by
+    # 2^-53, the smallest unit any solve divides by.
+    inst = Instance(k=2, rho=(3,), kappa=(0.5 + 2**-53, 0.5 - 2**-53), sites=[[0.1], [0.7]])
+    problem, _ = assert_extraction_matches_reference(inst)
+    assert not problem.exact and problem.unit_bits == 53
+
+
 def assert_greedy_start_matches_reference(inst):
     """The start against the one-point-at-a-time reference, cold and shifted
     by the optimal potentials, whose power diagram puts cost and regret ties
@@ -672,6 +680,22 @@ def test_costs_past_float64_raise(fields, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=f"costs overflow float64: {message}"):
+            solve_assignment(inst)
+
+
+def test_dual_overflow_raises(monkeypatch):
+    # A final float basis whose only overflow is a dual: every point owned by
+    # cluster 0, no split arcs, and mu_2 = pi_1 - pi_2 = 2e308.
+    def simplex(problem, mu=0):
+        k, n = problem.k, problem.n
+        core = {k * n + i: 0 for i in range(k)}
+        return np.zeros(n, dtype=np.int64), core, np.array([1e308, -1e308]), 0
+
+    monkeypatch.setattr(solver, "_network_simplex", simplex)
+    inst = Instance(k=2, rho=(3,), kappa=(0.5, 0.5), sites=[[0.1], [0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="costs overflow float64"):
             solve_assignment(inst)
 
 
