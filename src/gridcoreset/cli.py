@@ -363,19 +363,17 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    """An int option's value, refusing a non-int or one below 1 as a usage error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+class _AtLeastOne(argparse.Action):
+    """Stores an int option's value, refusing one below 1 as a usage error (exit 2)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _trial_options(p: argparse.ArgumentParser, trials: int) -> None:
-    p.add_argument("--trials", type=_at_least_one, default=trials)
+    p.add_argument("--trials", type=int, default=trials, action=_AtLeastOne)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write ReportRows as CSV")
 

@@ -449,14 +449,20 @@ def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveRe
             dual = (problem.supply * np.sum(pi_pts - pi[0])
                     + np.dot(np.array(problem.demands, dtype=dtype), mu))
             scale = 1 << (2 * problem.cost_bits)
+            objective = _objective(problem, arcs, flows)
+            dual_objective = float(dual / (scale << problem.unit_bits))
+            # np.dot need not raise under errstate: a BLAS may overflow to inf unflagged.
+            if not (np.isfinite(objective) and np.isfinite(dual_objective)):
+                raise ValueError(f"costs overflow float64: objective {objective}, "
+                                 f"dual objective {dual_objective}")
 
             return SolveResult(
                 clustering=clustering,
-                objective=_objective(problem, arcs, flows),
+                objective=objective,
                 duals=tuple(float(v / scale) for v in mu),
                 fractional_count=clustering.fractional_count(),
                 resolution=problem.resolution,
-                dual_objective=float(dual / (scale << problem.unit_bits)),
+                dual_objective=dual_objective,
                 pivots=pivots,
                 exact=problem.exact,
             )

@@ -674,7 +674,12 @@ TOO_LARGE = "the sites or norm matrices are too large"
     # Finite costs whose sums overflow raise inside the solve.
     (dict(rho=(6,), kappa=(0.5, 0.5), sites=[[0.0], [1.0]],
           norms=np.array([[[1e308]], [[1e308]]])), "overflow encountered"),
-], ids=["cost-overflows", "cost-overflows-off-start", "sum-overflows"])
+    # Finite costs, potentials and duals (mu_2 near 1e300) whose products with
+    # demands near 2^52 overflow inside np.dot: numpy reports it where the BLAS
+    # flags it, and the finiteness check of both objectives otherwise.
+    (dict(rho=(3,), kappa=(0.5 - 2**-53, 0.5 + 2**-53), sites=[[0.5], [1e150]]),
+     "(overflow encountered in dot|objective inf)"),
+], ids=["cost-overflows", "cost-overflows-off-start", "sum-overflows", "dot-overflows"])
 def test_costs_past_float64_raise(fields, message):
     inst = Instance(k=2, **fields)
     with warnings.catch_warnings():
@@ -696,6 +701,20 @@ def test_dual_overflow_raises(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="costs overflow float64"):
+            solve_assignment(inst)
+
+
+def test_unflagged_dot_overflow_raises(monkeypatch):
+    # The dot-overflows case through a dot that overflows to inf without
+    # setting a floating-point flag, as a BLAS may.
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
+
+    monkeypatch.setattr(solver.np, "dot", dot)
+    inst = Instance(k=2, rho=(3,), kappa=(0.5 - 2**-53, 0.5 + 2**-53), sites=[[0.5], [1e150]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="costs overflow float64: objective inf, dual objective inf"):
             solve_assignment(inst)
 
 
