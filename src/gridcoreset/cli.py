@@ -42,8 +42,10 @@ GEN_ATTEMPTS = 100
 
 
 def _parse_axes(text: str) -> tuple[int, ...]:
-    parts = text.replace("x", ",").split(",")
-    return tuple(int(p) for p in parts if p != "")
+    try:  # every entry counts: "4,,4", "6," and "x6" hold an empty one
+        return tuple(int(p) for p in text.replace("x", ",").split(","))
+    except ValueError:
+        raise ValueError(f"expected axis exponents such as 6,6 or 6x6, got {text!r}") from None
 
 
 def _kappa_from_json(values) -> list:
@@ -148,7 +150,7 @@ def generate_instance(d: int, rho, k: int, seed: int,
     if anisotropy is not None:
         mats = np.empty((k, d, d))
         for i in range(k):
-            if lo == hi:
+            if lo == hi:  # exactly lo * I: the rotation below would round it
                 mats[i] = lo * np.eye(d)
                 continue
             q, r = np.linalg.qr(rng.normal(size=(d, d)))
@@ -160,7 +162,7 @@ def generate_instance(d: int, rho, k: int, seed: int,
 
 
 class _Reporter:
-    """Collects ReportRows; writes them as CSV with a fixed header."""
+    """Collects report rows, one dict per check, and writes them as CSV under CSV_FIELDS."""
 
     def __init__(self, instance_id: str, seed: int):
         self.instance_id = instance_id
@@ -375,7 +377,7 @@ class _AtLeastOne(argparse.Action):
 def _trial_options(p: argparse.ArgumentParser, trials: int) -> None:
     p.add_argument("--trials", type=int, default=trials, action=_AtLeastOne)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write ReportRows as CSV")
+    p.add_argument("--out", help="write the report rows as CSV")
 
 
 @functools.cache

@@ -60,7 +60,7 @@ def delta_offset_exact(rho, tau) -> Fraction:
 def lift_offset(plan: CoresetPlan, weights, norms: NormFamily | None = None) -> float:
     """cost_A(extend(C)) - cost_A,tau(C) for every coarse C with cluster weights w: sum_i w_i
     sum_t (A_i)_tt (4^-tau_t - 4^-rho_t)/12, so plan.delta when A = I and 0 when tau = rho."""
-    if norms is None:
+    if norms is None:  # exact: with A = I the float sum below can round off Delta's last bit
         return plan.delta
     v = (4.0 ** -np.array(plan.tau.exponents) - 4.0 ** -np.array(plan.rho.exponents)) / 12
     return float(np.asarray(weights) @ np.einsum("itt,t->i", norms.matrices, v))
@@ -133,12 +133,10 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     rho, tau = plan.rho, plan.tau
     if C_tilde.n != tau.n:
         raise ValueError(f"clustering has {C_tilde.n} points, coarse grid has {tau.n}")
-    if tau == rho:  # the lift is the identity; a Clustering is immutable
-        return C_tilde
     rows, cols, vals, n = C_tilde.rows, C_tilde.cols, C_tilde.vals, tau.n
     for t in reversed(range(rho.d)):
         r, inner = 1 << (rho.exponents[t] - tau.exponents[t]), 1 << sum(rho.exponents[t + 1:])
-        if r == 1:
+        if r == 1:  # axis t is not refined; at tau = rho none is, and the arrays are C_tilde's
             continue
         head = cols // inner  # inner: the fine size of the later axes, all refined by now
         starts = np.flatnonzero(np.diff(rows * (n // inner) + head, prepend=-1))
@@ -174,7 +172,7 @@ def verify_property_a(C_tilde: Clustering, sites, instance: Instance,
     if instance.norms is not None:
         raise ValueError("the offset identity is isotropic only")
     lifted = cost_sites(extend(C_tilde, plan), sites, plan.rho)
-    # At tau = rho the lift is C_tilde itself and delta is 0.0, so both sides are one cost.
+    # At tau = rho the lift has C_tilde's entries and delta is 0.0: one cost is both sides.
     rhs = (lifted if plan.tau == plan.rho else cost_sites(C_tilde, sites, plan.tau)) + plan.delta
     return abs(lifted - rhs), lifted
 

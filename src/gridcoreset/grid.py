@@ -82,8 +82,6 @@ def as_resolution(value) -> Resolution:
 
 
 def _check_tau(rho: Resolution, tau: Resolution) -> None:
-    if tau.d != rho.d:
-        raise ValueError("tau and rho must have the same dimension")
     if not tau <= rho:
         raise ValueError(f"tau={tau.exponents} is not componentwise <= rho={rho.exponents}")
 

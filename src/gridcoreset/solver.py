@@ -275,7 +275,6 @@ def _network_simplex(problem: TransportProblem, mu=0):
     root = n + k
     supply = problem.supply
     cols = np.arange(n)
-    INF = 1 << 62
 
     owner, core = _greedy_start(C2 - np.reshape(mu, (-1, 1)), supply, problem.demands)
     logging_on = _log.isEnabledFor(logging.DEBUG)
@@ -352,14 +351,11 @@ def _network_simplex(problem: TransportProblem, mu=0):
         core[a] = 0
         # Leaving arc: minimum residual, the last such arc from the apex (keeps
         # the tree strongly feasible, which prevents cycling).  Only arcs
-        # traversed against their direction block.
-        delta, out = INF, -1
-        for arc, node in reversed(cycle):
-            if tail(arc) != node and core[arc] < delta:
-                delta, out = core[arc], arc
-        if delta:
-            for arc, node in cycle:
-                core[arc] += delta if tail(arc) == node else -delta
+        # traversed against their direction block; a degenerate pivot moves 0.
+        out = min((arc for arc, node in reversed(cycle) if tail(arc) != node), key=core.get)
+        delta = core[out]
+        for arc, node in cycle:
+            core[arc] += delta if tail(arc) == node else -delta
         del core[out]
         # Re-hang the subtree that out cuts off: reverse the parent arcs from
         # a's end inside it up to out, then re-price the subtree top-down.

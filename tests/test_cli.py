@@ -37,6 +37,9 @@ def test_parse_axes_forms():
     assert _parse_axes("6,6") == (6, 6)
     assert _parse_axes("6x6") == (6, 6)
     assert _parse_axes("8") == (8,)
+    for text in ("4,,4", "6,", "x6", "", "6;6"):  # an empty entry is an error, not skipped
+        with pytest.raises(ValueError, match=f"got {text!r}"):
+            _parse_axes(text)
 
 
 def test_gen_reproduces_golden_fixture(tmp_path):
@@ -389,6 +392,14 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "0"]) == 2
     assert "error: cluster count must be >= 1, got 0" in capsys.readouterr().err
+    for argv, text in ((["gen", "--d", "2", "--rho", "4,,4", "--k", "2"], "4,,4"),
+                       (["gen", "--d", "1", "--rho", "6,", "--k", "2"], "6,"),
+                       (["gen", "--d", "1", "--rho", "", "--k", "2"], ""),
+                       (["solve", str(GOLDEN), "--tau", "x6"], "x6"),
+                       (["verify", str(GOLDEN), "--tau", "2,,"], "2,,")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and f"got {text!r}" in err
     report = tmp_path / "x.csv"
     for argv in (["verify", str(GOLDEN), "--trials", "-2", "--out", str(report)],
                  ["verify", str(GOLDEN), "--trials", "0"],

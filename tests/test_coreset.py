@@ -136,12 +136,21 @@ def test_extend_spreads_batch():
         extend(fine, plan)
 
 
+def _assert_shares_entries(lifted, C):
+    # No axis is refined, so the lift is a new Clustering over C's own read-only arrays.
+    assert (lifted.k, lifted.n) == (C.k, C.n)
+    for field in ("rows", "cols", "vals"):
+        a, b = getattr(lifted, field), getattr(C, field)
+        assert np.array_equal(a, b) and np.shares_memory(a, b) and not a.flags.writeable
+
+
 def test_tau_equals_rho_is_identity():
     plan = plan_for((2,), (2,))
     C = Clustering.from_labels(2, [0, 1, 1, 0])
     for op in (restrict, extend):
         out = op(C, plan)
         assert np.array_equal(to_dense(out), to_dense(C))
+    _assert_shares_entries(extend(C, plan), C)
 
 
 @st.composite
@@ -464,6 +473,7 @@ def test_solve_coarse_identity_at_full_resolution():
     fine = solve_assignment(inst)
     assert out.extended_cost == fine.objective
     assert np.array_equal(to_dense(out.extended), to_dense(fine.clustering))
+    _assert_shares_entries(out.extended, out.coarse.clustering)
 
 
 def test_solve_coarse_without_sites_raises_before_solving(monkeypatch):
@@ -536,7 +546,7 @@ def test_axis_bound_always_holds(k, eps_mille):
 
 
 def test_make_plan_validation_and_flags():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resolutions of different dimension are incomparable"):
         make_plan(2, 0.5, (3, 3), tau=(1,))
     with pytest.raises(ValueError):
         make_plan(2, 0.5, (3, 3), tau=(4, 1))

@@ -117,10 +117,12 @@ def test_resolution_validation():
 def test_index_validation():
     with pytest.raises(ValueError):
         merge_map((2,), (3,))  # tau exceeds rho
-    with pytest.raises(ValueError):
-        merge_map((2, 2), (1,))  # dimension mismatch
+    with pytest.raises(ValueError, match="resolutions of different dimension are incomparable"):
+        merge_map((2, 2), (1,))
     with pytest.raises(ValueError):
         batch_error_exact((2,), (3,))
+    with pytest.raises(ValueError, match="resolutions of different dimension are incomparable"):
+        batch_error_exact((2,), (1, 1))
 
 
 def test_resolution_ordering_and_str():
