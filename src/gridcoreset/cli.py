@@ -42,10 +42,10 @@ GEN_ATTEMPTS = 100
 
 
 def _parse_axes(text: str) -> tuple[int, ...]:
-    try:  # every entry counts: "4,,4", "6," and "x6" hold an empty one
-        return tuple(int(p) for p in text.replace("x", ",").split(","))
-    except ValueError:
-        raise ValueError(f"expected axis exponents such as 6,6 or 6x6, got {text!r}") from None
+    parts = text.replace("x", ",").split(",")  # "4,,4", "6," and "x6" hold an empty entry
+    if not all(p.isascii() and p.isdigit() for p in parts):  # int() also takes "1_0" and " 4"
+        raise ValueError(f"expected axis exponents such as 6,6 or 6x6, got {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _kappa_from_json(values) -> list:
@@ -198,9 +198,9 @@ def _cmd_gen(args) -> int:
     aniso = args.anisotropy.split(",") if args.anisotropy else None
     if aniso is not None and len(aniso) != 2:
         raise ValueError(f"--anisotropy takes lo,hi, got {args.anisotropy!r}")
-    inst = generate_instance(args.d, rho, args.k, args.seed,
+    inst = generate_instance(len(rho), rho, args.k, args.seed,
                              anisotropy=aniso, epsilon=args.epsilon)
-    out = args.out or f"instance_d{args.d}_k{args.k}_seed{args.seed}.json"
+    out = args.out or f"instance_d{inst.d}_k{args.k}_seed{args.seed}.json"
     save_instance(inst, out)
     print(f"wrote {out}: d={inst.d} rho={inst.rho} k={inst.k} "
           f"kappa={[f'{v:g}' for v in inst.kappa]}")
@@ -249,11 +249,11 @@ def _cmd_coarsen(args) -> int:
     inst, plan = _load_plan(args)
     coarse = replace(inst, rho=plan.tau)  # the user's epsilon; the plan block holds the plan's
     out = args.out or str(Path(args.instance).with_suffix(".coarse.json"))
+    rep = size_report(plan)  # before the file, so that a failure leaves none
     save_instance(coarse, out, plan=plan)
     print(f"tau {plan.tau} (tau_star {plan.tau_star}{', clamped' if plan.clamped else ''})")
     print(f"delta {plan.delta!r} = {plan.delta_exact}")
     print(f"coarse_points {plan.tau.n} of {plan.rho.n}")
-    rep = size_report(plan)
     print(f"axis_size {rep.axis_size} bound {rep.axis_bound:.3f} holds {rep.axis_bound_holds}")
     print(f"wrote {out}")
     return 0
@@ -400,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random power-diagram instance")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--rho", required=True, help="axis exponents, e.g. 6,6 or 6x6")
+    p.add_argument("--rho", required=True, help="axis exponents joined by , or x: 6,6 or 6x6")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.5)

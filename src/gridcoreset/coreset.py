@@ -12,6 +12,7 @@ lift_offset; the guarantee reaches them through transfer_bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -234,14 +235,23 @@ def transfer_bound(epsilon, norms: NormFamily) -> float:
     return (1.0 + float(epsilon)) * norms.lambda_max / norms.lambda_min
 
 
-def _cube_root_exact(x: Fraction) -> Fraction | None:
-    num = round(x.numerator ** (1 / 3))
-    den = round(x.denominator ** (1 / 3))
-    for dn in (num - 1, num, num + 1):
-        for dd in (den - 1, den, den + 1):
-            if dn > 0 and dd > 0 and dn**3 == x.numerator and dd**3 == x.denominator:
-                return Fraction(dn, dd)
-    return None
+def _float_cube_root(x: Fraction) -> float:
+    """x^(1/3) for x > 0 as a float, inf past float64: Decimal, unlike float, spans x's range."""
+    return float((Decimal(x.numerator) / x.denominator) ** (Decimal(1) / 3))
+
+
+def _cube_root(x: Fraction) -> Fraction | float:
+    """x^(1/3) for x > 0: exact when rational, that is when integer Newton steps from above
+    find cube roots of x's numerator and denominator both, else _float_cube_root(x)."""
+    roots = []
+    for n in (x.numerator, x.denominator):
+        r = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > n^(1/3)
+        while (s := (2 * r + n // (r * r)) // 3) < r:
+            r = s
+        roots.append(r)
+    if roots[0] ** 3 == x.numerator and roots[1] ** 3 == x.denominator:
+        return Fraction(*roots)
+    return _float_cube_root(x)
 
 
 @dataclass(frozen=True)
@@ -252,8 +262,7 @@ class SizeReport:
     axis_bound: float           # 2^(8/3) k / eps^(2/3)
     axis_bound_holds: bool      # checked exactly via cubes
     pencil_bound: Fraction      # k^2 / eps^(d+1)
-    resolution_bound: float     # (k / eps^(2/3))^d
-    advantage: Fraction | float  # pencil_bound / resolution_bound
+    advantage: Fraction | float  # pencil_bound / (k / eps^(2/3))^d
 
 
 def size_report(plan: CoresetPlan) -> SizeReport:
@@ -261,27 +270,17 @@ def size_report(plan: CoresetPlan) -> SizeReport:
 
     The axis bound 2^tau_star <= 2^(8/3) k / eps^(2/3) is equivalent to
     8^tau_star * eps^2 <= 2^8 k^3, which is checked in exact rationals.
-    The advantage over a dense pencil grid of k^2/eps^(d+1) points is
-    reported exactly whenever it is rational.
+    The advantage over a dense pencil grid of k^2/eps^(d+1) points, cubed
+    k^(6-3d) / eps^(d+3), is reported exactly whenever it is rational, else
+    as a float, inf past float64.
     """
-    eps = plan.epsilon
-    k = plan.k
-    d = plan.rho.d
-    axis_size = 1 << plan.tau_star
-    holds = 8**plan.tau_star * eps**2 <= 256 * k**3
-    axis_bound = float(2 ** Fraction(8, 3)) * k / float(eps) ** (2.0 / 3.0)
+    eps, k, d = plan.epsilon, plan.k, plan.rho.d
+    axis_cubed = 256 * Fraction(k) ** 3 / eps**2
     pencil = k**2 / eps ** (d + 1)
-    res_bound_cubed = Fraction(k) ** (3 * d) / eps ** (2 * d)
-    res_bound = float(res_bound_cubed) ** (1.0 / 3.0)
-    advantage_cubed = pencil**3 / res_bound_cubed
-    advantage = _cube_root_exact(advantage_cubed)
-    if advantage is None:
-        advantage = float(advantage_cubed) ** (1.0 / 3.0)
     return SizeReport(
-        axis_size=axis_size,
-        axis_bound=axis_bound,
-        axis_bound_holds=bool(holds),
+        axis_size=1 << plan.tau_star,
+        axis_bound=_float_cube_root(axis_cubed),
+        axis_bound_holds=8**plan.tau_star <= axis_cubed,
         pencil_bound=pencil,
-        resolution_bound=res_bound,
-        advantage=advantage,
+        advantage=_cube_root(Fraction(k) ** (6 - 3 * d) / eps ** (d + 3)),
     )

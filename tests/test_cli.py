@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -37,41 +38,49 @@ def test_parse_axes_forms():
     assert _parse_axes("6,6") == (6, 6)
     assert _parse_axes("6x6") == (6, 6)
     assert _parse_axes("8") == (8,)
-    for text in ("4,,4", "6,", "x6", "", "6;6"):  # an empty entry is an error, not skipped
-        with pytest.raises(ValueError, match=f"got {text!r}"):
+    assert _parse_axes("10x04,0") == (10, 4, 0)  # every all-digit form keeps its value
+    # An empty entry is an error, not skipped.  An entry is ASCII digits, so int()'s other
+    # forms fail: underscores, signs, spaces, Arabic-Indic three and fullwidth four.
+    for text in ("4,,4", "6,", "x6", "", "6;6", "1_0", " +4 ", "\u0663", "\uff14", "6, 6"):
+        with pytest.raises(ValueError, match=re.escape(f"got {text!r}")):
             _parse_axes(text)
 
 
 def test_gen_reproduces_golden_fixture(tmp_path):
-    out = tmp_path / "g.json"
-    assert main(["gen", "--d", "1", "--rho", "3", "--k", "2", "--seed", "0",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    # Every committed instance, from gen with the options its name records; d is rho's length.
+    cases = ((["--rho", "3", "--k", "2", "--seed", "0"], GOLDEN),
+             (["--rho", "6,6", "--k", "2", "--seed", "0"], GOLDEN_COARSE),
+             (["--rho", "6,5", "--k", "2", "--seed", "3", "--anisotropy", "1,4"], GOLDEN_ANISO))
+    assert {g for _, g in cases} == set((FIXTURES / "instances").glob("*.json"))
+    for argv, golden in cases:
+        out = tmp_path / golden.name
+        assert main(["gen", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == golden.read_bytes()
 
 
 def test_gen_seed_sensitivity(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    main(["gen", "--d", "2", "--rho", "3,3", "--k", "3", "--seed", "7",
+    main(["gen", "--rho", "3,3", "--k", "3", "--seed", "7",
           "--out", str(a)])
-    main(["gen", "--d", "2", "--rho", "3,3", "--k", "3", "--seed", "8",
+    main(["gen", "--rho", "3,3", "--k", "3", "--seed", "8",
           "--out", str(b)])
     assert a.read_bytes() != b.read_bytes()
-    main(["gen", "--d", "2", "--rho", "3,3", "--k", "3", "--seed", "7",
+    main(["gen", "--rho", "3,3", "--k", "3", "--seed", "7",
           "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_gen_anisotropy(tmp_path):
     out = tmp_path / "aniso.json"
-    assert main(["gen", "--d", "2", "--rho", "4,4", "--k", "2", "--seed", "1",
+    assert main(["gen", "--rho", "4,4", "--k", "2", "--seed", "1",
                  "--anisotropy", "1,4", "--out", str(out)]) == 0
     inst = load_instance(out)
     assert inst.norms is not None
     lo, hi = inst.norms.lambda_min, inst.norms.lambda_max
     assert 1.0 - 1e-9 <= lo <= hi <= 4.0 + 1e-9
     # A degenerate range yields exact multiples of the identity.
-    main(["gen", "--d", "2", "--rho", "4,4", "--k", "2", "--seed", "1",
+    main(["gen", "--rho", "4,4", "--k", "2", "--seed", "1",
           "--anisotropy", "2,2", "--out", str(out)])
     inst = load_instance(out)
     for mat in inst.norms.matrices:
@@ -143,7 +152,7 @@ def test_coarsen_reports_plan(tmp_path, capsys):
 def test_verify_golden_csv_below_full_resolution(tmp_path):
     # The golden files were written before verify shared work between equal grids.
     inst = tmp_path / "gen_d2_rho6x6_k2_seed0.json"
-    assert main(["gen", "--d", "2", "--rho", "6,6", "--k", "2", "--seed", "0",
+    assert main(["gen", "--rho", "6,6", "--k", "2", "--seed", "0",
                  "--out", str(inst)]) == 0
     assert inst.read_bytes() == GOLDEN_COARSE.read_bytes()
     out = tmp_path / "r.csv"
@@ -155,7 +164,7 @@ def test_verify_golden_csv_below_full_resolution(tmp_path):
 
 def test_verify_golden_csv_anisotropic(tmp_path):
     inst = tmp_path / GOLDEN_ANISO.name
-    assert main(["gen", "--d", "2", "--rho", "6,5", "--k", "2", "--seed", "3",
+    assert main(["gen", "--rho", "6,5", "--k", "2", "--seed", "3",
                  "--anisotropy", "1,4", "--out", str(inst)]) == 0
     assert inst.read_bytes() == GOLDEN_ANISO.read_bytes()
     out = tmp_path / "r.csv"
@@ -259,7 +268,7 @@ FAKE_SOLVE = SimpleNamespace(objective=0.5, fractional_count=0)
 def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake, margin):
     path = tmp_path / "a,b.json"  # the stderr row quotes fields as the report does
     if check == "transfer":
-        main(["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--seed", "3",
+        main(["gen", "--rho", "3,3", "--k", "2", "--seed", "3",
               "--anisotropy", "1,5", "--out", str(path)])
     else:
         path.write_text(GOLDEN.read_text())
@@ -282,7 +291,7 @@ def _trial_instance(tmp_path, anisotropic):
     if not anisotropic:
         return GOLDEN_COARSE
     path = tmp_path / "aniso.json"
-    assert main(["gen", "--d", "2", "--rho", "4,4", "--k", "2", "--seed", "3",
+    assert main(["gen", "--rho", "4,4", "--k", "2", "--seed", "3",
                  "--anisotropy", "1,5", "--out", str(path)]) == 0
     return path
 
@@ -316,7 +325,7 @@ def test_bench_solves_the_sites_verify_draws(tmp_path, anisotropic):
 
 def test_verify_anisotropic_transfer(tmp_path):
     inst_path = tmp_path / "aniso.json"
-    main(["gen", "--d", "2", "--rho", "4,4", "--k", "2", "--seed", "3",
+    main(["gen", "--rho", "4,4", "--k", "2", "--seed", "3",
           "--anisotropy", "1,5", "--out", str(inst_path)])
     out = tmp_path / "rep.csv"
     assert main(["verify", str(inst_path), "--trials", "4", "--seed", "2",
@@ -330,7 +339,7 @@ def test_single_cluster_verify_passes(tmp_path):
     # With k=1 every coarse resolution is an exact coreset.
     for aniso in ([], ["--anisotropy", "1,3"]):
         inst_path = tmp_path / "k1.json"
-        assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "1", "--seed", "4",
+        assert main(["gen", "--rho", "3,3", "--k", "1", "--seed", "4",
                      "--out", str(inst_path), *aniso]) == 0
         assert main(["verify", str(inst_path), "--trials", "3"]) == 0
 
@@ -388,15 +397,22 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         for command in ("solve", "verify"):
             assert main([command, str(not_number)]) == 2
             assert f"{field} must hold numbers" in capsys.readouterr().err
-    assert main(["gen", "--d", "2", "--rho", "3", "--k", "2"]) == 2  # d mismatch
-    capsys.readouterr()
-    assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:  # the dimension is rho's length, not an option
+        main(["gen", "--d", "2", "--rho", "3", "--k", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d 2" in capsys.readouterr().err
+    assert main(["gen", "--rho", "3,3", "--k", "0"]) == 2
     assert "error: cluster count must be >= 1, got 0" in capsys.readouterr().err
-    for argv, text in ((["gen", "--d", "2", "--rho", "4,,4", "--k", "2"], "4,,4"),
-                       (["gen", "--d", "1", "--rho", "6,", "--k", "2"], "6,"),
-                       (["gen", "--d", "1", "--rho", "", "--k", "2"], ""),
+    for argv, text in ((["gen", "--rho", "4,,4", "--k", "2"], "4,,4"),
+                       (["gen", "--rho", "6,", "--k", "2"], "6,"),
+                       (["gen", "--rho", "", "--k", "2"], ""),
                        (["solve", str(GOLDEN), "--tau", "x6"], "x6"),
-                       (["verify", str(GOLDEN), "--tau", "2,,"], "2,,")):
+                       (["verify", str(GOLDEN), "--tau", "2,,"], "2,,"),
+                       (["gen", "--rho", "1_0", "--k", "2"], "1_0"),
+                       (["gen", "--rho", " +4 ", "--k", "2"], " +4 "),
+                       (["gen", "--rho", "\u0663", "--k", "2"], "\u0663"),
+                       (["solve", str(GOLDEN), "--tau", "\uff14"], "\uff14"),
+                       (["verify", str(GOLDEN), "--tau", "6, 6"], "6, 6")):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and f"got {text!r}" in err
@@ -421,7 +437,7 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     # with a parser built for it alone: options left out get their defaults
     # again, and usage errors and help exit as before.
     inst = tmp_path / "square.json"
-    main(["gen", "--d", "2", "--rho", "3,3", "--k", "3", "--seed", "5", "--out", str(inst)])
+    main(["gen", "--rho", "3,3", "--k", "3", "--seed", "5", "--out", str(inst)])
     verify = ["verify", str(GOLDEN), "--trials", "3", "--seed", "4"]
     calls = [verify + ["--out", "a.csv"], verify,
              ["solve", str(inst), "--tau", "2,2"], ["solve", str(inst)],
@@ -523,21 +539,21 @@ D_MISMATCH = "d2.json"  # the golden file, rho with one axis, declaring d = 2
 
 @pytest.mark.parametrize("argv, message", [
     (["solve", D_MISMATCH], "d = 2 does not match rho with 1 axes"),
-    (["gen", "--d", "1", "--rho", "2", "--k", "5"], "cluster count 5 exceeds point count 4"),
-    (["gen", "--d", "1", "--rho", "3", "--k", "8"], "no nonempty-cell draw in 100 attempts"),
-    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "3,1"],
+    (["gen", "--rho", "2", "--k", "5"], "cluster count 5 exceeds point count 4"),
+    (["gen", "--rho", "3", "--k", "8"], "no nonempty-cell draw in 100 attempts"),
+    (["gen", "--rho", "3,3", "--k", "2", "--anisotropy", "3,1"],
      "anisotropy range must satisfy 0 < lo <= hi, got 3.0, 1.0"),
     # Checked before the 2^48-point coordinate array is asked for.
-    (["gen", "--d", "3", "--rho", "20,20,8", "--k", "2", "--anisotropy", "3,1"],
+    (["gen", "--rho", "20,20,8", "--k", "2", "--anisotropy", "3,1"],
      "anisotropy range must satisfy 0 < lo <= hi, got 3.0, 1.0"),
-    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1,inf"],
+    (["gen", "--rho", "3,3", "--k", "2", "--anisotropy", "1,inf"],
      "anisotropy range must be finite, got 1.0, inf"),
     # 2^48 points: numpy refuses the 6 PiB coordinate array at once, as it
     # exceeds any address space; never test a size a machine might fill.
-    (["gen", "--d", "3", "--rho", "20,20,8", "--k", "2"], "Unable to allocate"),
-    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1"],
+    (["gen", "--rho", "20,20,8", "--k", "2"], "Unable to allocate"),
+    (["gen", "--rho", "3,3", "--k", "2", "--anisotropy", "1"],
      "--anisotropy takes lo,hi, got '1'"),
-    (["gen", "--d", "2", "--rho", "3,3", "--k", "2", "--anisotropy", "1,2,3"],
+    (["gen", "--rho", "3,3", "--k", "2", "--anisotropy", "1,2,3"],
      "--anisotropy takes lo,hi, got '1,2,3'"),
     # Checked before an anisotropic file's epsilon/3, so as for an isotropic file.
     (["coarsen", str(GOLDEN_ANISO), "--epsilon", "0.9", "--out", "c.json"],
@@ -562,7 +578,7 @@ def test_float_overflow_exits_2(tmp_path, capsys):
     far.write_text(json.dumps(_golden_with(sites=[[1e200], [0.5]])))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "2",
+        assert main(["gen", "--rho", "3,3", "--k", "2",
                      "--anisotropy", "1e308,1e308", "--out", str(big)]) == 0
         for argv in (["solve", str(big)], ["verify", str(big), "--trials", "1"],
                      ["bench", str(big), "--trials", "1"], ["solve", str(far)]):
@@ -579,7 +595,7 @@ def test_huge_finite_costs_solve_as_before(tmp_path, capsys):
     near.write_text(json.dumps(_golden_with(sites=[[1e150], [0.5]])))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["gen", "--d", "2", "--rho", "3,3", "--k", "2",
+        assert main(["gen", "--rho", "3,3", "--k", "2",
                      "--anisotropy", "1e306,1e306", "--out", str(huge)]) == 0
         for path, objective in ((huge, "2.315852792735594e+305"),
                                 (near, "7.499999999999999e+299")):
@@ -640,6 +656,24 @@ def test_pivot_cap_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_assignment", capped)
     assert main(["solve", str(GOLDEN)]) == 3
     assert capsys.readouterr().err == "error: network simplex exceeded 7 pivots\n"
+
+
+def test_coarsen_tiny_epsilon(tmp_path, capsys, monkeypatch):
+    # A valid epsilon whose size report overflows float64 along the old path.
+    out = tmp_path / "tiny.coarse.json"
+    assert main(["coarsen", str(GOLDEN_COARSE), "--epsilon", "1e-300", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "tau 6x6 (tau_star 668, clamped)" in text and "holds True" in text
+    assert json.loads(out.read_text())["plan"]["tau_star"] == 668
+    out.unlink()
+
+    def fails(plan):
+        raise ValueError("no report")
+
+    monkeypatch.setattr(cli, "size_report", fails)  # the report comes before the file
+    assert main(["coarsen", str(GOLDEN_COARSE), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no report\n"
+    assert not out.exists()
 
 
 def test_coarsen_rejects_nan_site(tmp_path, capsys):

@@ -519,6 +519,20 @@ def test_size_report_frozen_small():
     assert plan.tau.n == 32 and plan.rho.n == 256
 
 
+def test_size_report_past_float64():
+    # Each plan's report overflowed a float conversion at some step, or divided by 0.0.
+    rep = size_report(make_plan(3, 1e-300, (4, 4)))
+    assert rep.advantage == Fraction(10) ** 500  # the cube root of 10^1500, exactly
+    assert rep.axis_bound_holds and rep.axis_bound == pytest.approx(3 * 2 ** (8 / 3) * 1e200)
+    eps = Fraction("0.123456789")
+    rep = size_report(make_plan(2, 0.123456789, (1,) * 40))
+    assert rep.pencil_bound == 4 / eps**41
+    assert rep.advantage == pytest.approx(2.0**-38 * float(eps) ** (-43 / 3), rel=1e-14)
+    rep = size_report(make_plan(2, Fraction(1, 10**400), (3,)))
+    assert rep.advantage == float("inf")  # 2 * 10^(1600/3): irrational, past float64
+    assert rep.axis_bound == pytest.approx(2 ** (11 / 3) * 10 ** (2 / 3) * 1e266, rel=1e-14)
+
+
 def test_plan_holds_epsilon_exactly():
     plan = make_plan(3, Fraction(1, 6), (10, 10))
     assert plan.epsilon == Fraction(1, 6)
