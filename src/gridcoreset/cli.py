@@ -25,7 +25,7 @@ from .coreset import (PROPERTY_A_TOL, PROPERTY_B_TOL, CoresetPlan, make_plan,
                       size_report, solve_coarse, transfer_bound, verify_property_a,
                       verify_property_b)
 from .diagrams import PowerDiagram, check_compatibility, from_duals
-from .grid import Resolution, as_int, as_resolution, coords_array
+from .grid import MAX_AXIS_EXPONENT, Resolution, as_int, as_resolution, coords_array
 from .model import Clustering, Instance, cluster_weights
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
 from .solver import PivotLimitError, solve_assignment
@@ -42,9 +42,12 @@ GEN_ATTEMPTS = 100
 
 
 def _parse_axes(text: str) -> tuple[int, ...]:
-    parts = text.replace("x", ",").split(",")  # "4,,4", "6," and "x6" hold an empty entry
-    if not all(p.isascii() and p.isdigit() for p in parts):  # int() also takes "1_0" and " 4"
-        raise ValueError(f"expected axis exponents such as 6,6 or 6x6, got {text!r}")
+    # "4,,4", "6," and "x6" hold an empty entry; int() also takes "1_0", " 4" and 5000 digits.
+    parts = [p.lstrip("0") or p[-1:] for p in text.replace("x", ",").split(",")]  # "000" -> "0"
+    width = len(str(MAX_AXIS_EXPONENT))  # an entry with more digits is past the cap
+    if not all(p.isascii() and p.isdigit() and len(p) <= width for p in parts):
+        raise ValueError(f"expected axis exponents 0-{MAX_AXIS_EXPONENT} such as 6,6 or 6x6, "
+                         f"got {text!r}")
     return tuple(int(p) for p in parts)
 
 

@@ -39,6 +39,7 @@ def test_parse_axes_forms():
     assert _parse_axes("6x6") == (6, 6)
     assert _parse_axes("8") == (8,)
     assert _parse_axes("10x04,0") == (10, 4, 0)  # every all-digit form keeps its value
+    assert _parse_axes("0" * 5000 + "21") == (21,)  # leading zeros past int()'s digit limit
     # An empty entry is an error, not skipped.  An entry is ASCII digits, so int()'s other
     # forms fail: underscores, signs, spaces, Arabic-Indic three and fullwidth four.
     for text in ("4,,4", "6,", "x6", "", "6;6", "1_0", " +4 ", "\u0663", "\uff14", "6, 6"):
@@ -412,7 +413,11 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                        (["gen", "--rho", " +4 ", "--k", "2"], " +4 "),
                        (["gen", "--rho", "\u0663", "--k", "2"], "\u0663"),
                        (["solve", str(GOLDEN), "--tau", "\uff14"], "\uff14"),
-                       (["verify", str(GOLDEN), "--tau", "6, 6"], "6, 6")):
+                       (["verify", str(GOLDEN), "--tau", "6, 6"], "6, 6"),
+                       # Past the cap by digit count, and past int()'s 4300-digit limit:
+                       # this message, which names the range, not Python's advice.
+                       (["gen", "--rho", "100", "--k", "2"], "100"),
+                       (["gen", "--rho", "1" * 5000, "--k", "2"], "1" * 5000)):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and f"got {text!r}" in err

@@ -517,12 +517,13 @@ def solve_fine_instance(exps, k, dyadic, seed):
 
 
 # (exps, k, dyadic, seed): (pivots, objective, dual_objective), recorded
-# with the regret-ordered greedy start and ladder floor 2; the pivot path
-# must not move unless the start or the pivot rules change on purpose.
+# with the regret-ordered greedy start, ladder floor 2 and 1-D rungs three
+# exponents apart; the pivot path must not move unless the start, the
+# ladder or the pivot rules change on purpose.
 PINNED_SOLVES = {
-    ((10,), 3, True, 0): (8, 0.0720367431640625, 0.0720367431640625),
-    ((10,), 3, False, 1): (15, 0.03240334967426215, 0.03240334967426215),
-    ((10,), 8, True, 2): (42, 0.010015394538640976, 0.010015394538640976),
+    ((10,), 3, True, 0): (9, 0.0720367431640625, 0.0720367431640625),
+    ((10,), 3, False, 1): (11, 0.03240334967426215, 0.03240334967426215),
+    ((10,), 8, True, 2): (28, 0.010015394538640976, 0.010015394538640976),
     ((10,), 8, False, 3): (62, 0.010150895585815532, 0.010150895585815535),
     ((5, 5), 3, True, 4): (25, 0.31235381588339806, 0.31235381588339806),
     ((5, 5), 3, False, 5): (11, 0.15874391257630632, 0.1587439125763063),
@@ -569,12 +570,28 @@ def test_ladder_levels_logged(caplog, monkeypatch):
     assert len(objectives) == 2 + 2 * len(levels)
 
 
+@pytest.mark.parametrize("exps", [(10,), (5, 4), (10, 10), (15, 3, 2), (4, 3, 3)], ids=str)
+def test_ladder_schedule(caplog, exps):
+    # A 1-D rung is three exponents above the one below it (8x the points, as
+    # one 3-D step), down to the floor of 2.  For d >= 2 each level lowers every
+    # exponent above the floor by one.  k = 1 keeps the 2^20-point grids cheap.
+    inst = Instance(k=1, rho=exps, kappa=(1.0,), sites=[[0.5] * len(exps)])
+    with caplog.at_level(logging.DEBUG, logger="gridcoreset"):
+        solve_assignment(inst)
+    levels = [r.args[0] for r in caplog.records if r.name == "gridcoreset"]
+    if len(exps) == 1:
+        assert levels == [(2,), (4,), (7,), (10,)]
+    else:
+        assert levels == [tuple(max(e - m, min(e, 2)) for e in exps)
+                          for m in range(max(exps) - 2, -1, -1)]
+
+
 @pytest.mark.parametrize("inst, levels, bits", [
     (solve_fine_instance((4, 3, 3), 8, True, 10), [(2, 2, 2), (3, 2, 2), (4, 3, 3)], 10),
     (solve_fine_instance((4, 3, 3), 8, False, 11), [(2, 2, 2), (3, 2, 2), (4, 3, 3)], 0),
     # A site over 2^-12 sets the cost unit of every level, not the grid.
     (Instance(k=2, rho=(5,), kappa=(0.25, 0.75), sites=[[2.0**-12], [0.75]]),
-     [(2,), (3,), (4,), (5,)], 12),
+     [(2,), (5,)], 12),
     (Instance(k=2, rho=(2, 1), kappa=(0.5, 0.5), sites=[[0.1, 0.2], [0.7, 0.9]]), [(2, 1)], 0),
 ], ids=["exact", "float", "site-unit", "one-level"])
 def test_ladder_builds_every_level_through_build_transport(monkeypatch, inst, levels, bits):
@@ -635,6 +652,39 @@ def test_ladder_matches_cold_start_on_fixtures():
 @settings(max_examples=100, deadline=None)
 def test_ladder_matches_cold_start(case):
     assert_ladder_matches_cold_start(case[0])
+
+
+@st.composite
+def long_1d_instances(draw):
+    """1-D grids of 2^3 to 2^13 points, k in [2, 8], weights on or off the
+    grid, and sites snapped to 2^-10 (exact path) or not (float path)."""
+    e, k, dyadic = draw(st.integers(3, 13)), draw(st.integers(2, 8)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = e + draw(st.sampled_from([0, 0, 1, 3]))
+    units = 1 + rng.multinomial((1 << bits) - k, np.full(k, 1.0 / k))
+    sites = rng.uniform(size=(k, 1))
+    if dyadic:
+        sites = np.floor(sites * 1024) / 1024
+    return Instance(k=k, rho=(e,), kappa=tuple(int(u) / (1 << bits) for u in units),
+                    sites=sites)
+
+
+@given(long_1d_instances())
+@settings(max_examples=40, deadline=None)
+def test_spaced_1d_ladder_matches_cold_start(inst):
+    # The spaced 1-D rungs change the pivot path, never the optimum.
+    ladder, cold = solve_assignment(inst), _solve_with_ladder_base(inst, 64)
+    assert ladder.exact is cold.exact
+    if ladder.exact:
+        assert ladder.objective == cold.objective == ladder.dual_objective
+    else:
+        tol = solver.ENTER_TOL * max(1.0, float(build_transport(inst).costs.max()))
+        assert abs(ladder.objective - cold.objective) <= tol
+    report = check_compatibility(ladder.clustering, from_duals(inst.sites, ladder.duals),
+                                 inst.rho)
+    assert report.compatible, report.worst_violation
+    assert ladder.fractional_count <= 2 * (inst.k - 1)
+    assert cluster_weights(ladder.clustering, inst.rho).tolist() == list(inst.kappa)
 
 
 def test_arc_cap_refusal():
