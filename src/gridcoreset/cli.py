@@ -25,7 +25,7 @@ from .coreset import (PROPERTY_A_TOL, PROPERTY_B_TOL, CoresetPlan, make_plan,
                       size_report, solve_coarse, transfer_bound, verify_property_a,
                       verify_property_b)
 from .diagrams import PowerDiagram, check_compatibility, from_duals
-from .grid import MAX_AXIS_EXPONENT, Resolution, as_int, as_resolution, coords_array
+from .grid import MAX_AXIS_EXPONENT, Resolution, _check_tau, as_int, as_resolution, coords_array
 from .model import Clustering, Instance, cluster_weights
 from .oracle import lower_bound_1d, opt1d_closed, opt1d_dp
 from .solver import PivotLimitError, solve_assignment
@@ -116,17 +116,15 @@ def load_instance(path) -> Instance:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
 
 
-def generate_instance(d: int, rho, k: int, seed: int,
-                      anisotropy=None, epsilon: float = 0.5) -> Instance:
-    """Random power-diagram instance: sites, offsets, and cell-count weights.
+def generate_instance(rho, k: int, seed: int, anisotropy=None, epsilon: float = 0.5) -> Instance:
+    """Random power-diagram instance on X(rho): sites, offsets, and cell-count weights.
 
     Each grid point joins the cell minimizing ||x - s||^2 + gamma (lowest index on ties);
     kappa_i is that cell's point count times the voxel volume, resampled on a fresh substream
     until every cell is nonempty.  Norm eigenvalues lie in anisotropy = (lo, hi), read by float().
     """
     rho = as_resolution(rho)
-    if rho.d != d:
-        raise ValueError(f"rho has {rho.d} axes, expected d = {d}")
+    d = rho.d
     if k < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
     if k > rho.n:
@@ -190,10 +188,10 @@ class _Reporter:
 
 
 def _trials(inst: Instance, seed: int, trials: int):
-    """(t, rng, sites) per trial t: the trial's own substream, after the k sites drawn from it."""
+    """(t, rng, the instance at the k sites drawn first) per trial t, on its own substream."""
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_TRIAL, t)))
-        yield t, rng, rng.uniform(0.0, 1.0, size=(inst.k, inst.d))
+        yield t, rng, replace(inst, sites=rng.uniform(0.0, 1.0, size=(inst.k, inst.d)))
 
 
 def _cmd_gen(args) -> int:
@@ -201,8 +199,7 @@ def _cmd_gen(args) -> int:
     aniso = args.anisotropy.split(",") if args.anisotropy else None
     if aniso is not None and len(aniso) != 2:
         raise ValueError(f"--anisotropy takes lo,hi, got {args.anisotropy!r}")
-    inst = generate_instance(len(rho), rho, args.k, args.seed,
-                             anisotropy=aniso, epsilon=args.epsilon)
+    inst = generate_instance(rho, args.k, args.seed, anisotropy=aniso, epsilon=args.epsilon)
     out = args.out or f"instance_d{inst.d}_k{args.k}_seed{args.seed}.json"
     save_instance(inst, out)
     print(f"wrote {out}: d={inst.d} rho={inst.rho} k={inst.k} "
@@ -212,9 +209,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    resolution = _parse_axes(args.tau) if args.tau else None
+    if args.tau:  # the coarse problem, as coarsen writes it
+        tau = as_resolution(_parse_axes(args.tau))
+        _check_tau(inst.rho, tau)
+        inst = replace(inst, rho=tau)
     t0 = time.perf_counter()
-    res = solve_assignment(inst, resolution=resolution)
+    res = solve_assignment(inst)
     dt = time.perf_counter() - t0
     print(f"resolution {res.resolution}")
     print(f"objective {res.objective!r}")
@@ -269,15 +269,15 @@ def _random_stochastic(rng, k: int, n: int) -> Clustering:
 
 
 def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
-    for t, rng, sites in _trials(inst, seed, trials):
+    for t, rng, trial in _trials(inst, seed, trials):
         c_tilde = _random_stochastic(rng, inst.k, plan.tau.n)
-        resid, lifted = verify_property_a(c_tilde, sites, inst, plan)
+        resid, lifted = verify_property_a(c_tilde, trial, plan)
         bound = PROPERTY_A_TOL * (1.0 + lifted)
         row = reporter.add(plan.tau, t, "property_a", margin=resid, bound=bound)
         if not resid <= bound:  # NaN fails too
             return row
 
-        margin, fine, coarse = verify_property_b(sites, inst, plan)
+        margin, fine, coarse = verify_property_b(trial, plan)
         row = reporter.add(plan.tau, t, "property_b", objective=fine.objective,
                            delta=plan.delta, margin=margin,
                            bound=(1.0 + plan.epsilon) * fine.objective,
@@ -288,7 +288,7 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
         rep = None
         for res in (fine, coarse):
             if rep is None or res is not fine:  # at tau = rho coarse is fine: certify it once
-                rep = check_compatibility(res.clustering, from_duals(sites, res.duals),
+                rep = check_compatibility(res.clustering, from_duals(trial.sites, res.duals),
                                           res.resolution)
             row = reporter.add(res.resolution, t, "compatibility",
                                margin=rep.worst_violation,
@@ -300,9 +300,9 @@ def _verify_isotropic(inst, plan, reporter, trials, seed) -> dict | None:
 
 def _verify_anisotropic(inst, plan, reporter, trials, seed) -> dict | None:
     factor = transfer_bound(plan.epsilon, inst.norms)
-    for t, _, sites in _trials(inst, seed, trials):
-        best = solve_assignment(inst, sites=sites)
-        lifted = solve_coarse(inst, sites=sites, plan=plan)
+    for t, _, trial in _trials(inst, seed, trials):
+        best = solve_assignment(trial)
+        lifted = solve_coarse(trial, plan=plan)
         bound = factor * best.objective
         margin = bound - lifted.extended_cost
         row = reporter.add(plan.tau, t, "transfer", objective=best.objective,
@@ -334,12 +334,12 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     inst, plan = _load_plan(args)
     reporter = _Reporter(Path(args.instance).stem, args.seed)
-    for t, _, sites in _trials(inst, args.seed, args.trials):
+    for t, _, trial in _trials(inst, args.seed, args.trials):
         t0 = time.perf_counter()
-        fine = solve_assignment(inst, sites=sites)
+        fine = solve_assignment(trial)
         t_full = time.perf_counter() - t0
         t0 = time.perf_counter()
-        lifted = solve_coarse(inst, sites=sites, plan=plan)
+        lifted = solve_coarse(trial, plan=plan)
         t_coarse = time.perf_counter() - t0
         quality = lifted.extended_cost / fine.objective if fine.objective > 0 else None
         reporter.add(plan.rho, t, "bench", objective=fine.objective,

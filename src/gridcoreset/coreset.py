@@ -6,7 +6,8 @@ and of the sites.  That amount, CoresetPlan.delta (delta_offset_exact as a
 rational), is an exact dyadic rational, so "solve coarse, add the offset"
 reproduces fine costs up to the epsilon guarantee checked by
 verify_property_b.  Under per-cluster norms the lost scatter is
-lift_offset; the guarantee reaches them through transfer_bound.
+lift_offset; the guarantee reaches them through transfer_bound.  The
+coarse problem is an Instance too: replace(instance, rho=plan.tau).
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ def extend(C_tilde: Clustering, plan: CoresetPlan) -> Clustering:
     return Clustering(k=C_tilde.k, n=n, rows=rows, cols=cols, vals=vals)
 
 
-def verify_property_a(C_tilde: Clustering, sites, instance: Instance,
+def verify_property_a(C_tilde: Clustering, instance: Instance,
                       plan: CoresetPlan) -> tuple[float, float]:
-    """(residual, lifted cost) of the exact lift identity; property A holds
-    when the residual is at most PROPERTY_A_TOL * (1 + lifted cost).
+    """(residual, lifted cost) of the exact lift identity at the instance sites;
+    property A holds when the residual is at most PROPERTY_A_TOL * (1 + lifted cost).
 
     cost(X, extend(C), S) = cost(X(tau), C, S) + delta for every coarse
     clustering with unit column sums and every site family.  Isotropic only:
@@ -172,27 +173,27 @@ def verify_property_a(C_tilde: Clustering, sites, instance: Instance,
     _check_plan(instance, plan)
     if instance.norms is not None:
         raise ValueError("the offset identity is isotropic only")
+    sites = instance.sites
     lifted = cost_sites(extend(C_tilde, plan), sites, plan.rho)
     # At tau = rho the lift has C_tilde's entries and delta is 0.0: one cost is both sides.
     rhs = (lifted if plan.tau == plan.rho else cost_sites(C_tilde, sites, plan.tau)) + plan.delta
     return abs(lifted - rhs), lifted
 
 
-def verify_property_b(sites, instance: Instance,
+def verify_property_b(instance: Instance,
                       plan: CoresetPlan) -> tuple[float, SolveResult, SolveResult]:
     """(margin, fine, coarse) of the coreset cost inequality at plan.tau.
 
-    Solves the assignment LP at rho (fine) and at tau (coarse); the margin
-    (1 + eps) * cost(X, S) - (cost(X(tau), S) + delta) is nonnegative, up to
-    PROPERTY_B_TOL, whenever plan.tau is make_plan's default.  At tau = rho the
-    coarse result is the fine one, the same object: one problem, one solve.
+    Solves the instance (fine) and the coarse problem, the instance at
+    rho = tau; the margin (1 + eps) * cost(X, S) - (cost(X(tau), S) + delta) is
+    nonnegative, up to PROPERTY_B_TOL, whenever plan.tau is make_plan's default.
+    At tau = rho the two problems are one: coarse is fine, the same object.
     """
     _check_plan(instance, plan)
     if instance.norms is not None:
         raise ValueError("the coreset guarantee is isotropic only")
-    fine = solve_assignment(instance, sites=sites)
-    coarse = fine if plan.tau == plan.rho else solve_assignment(
-        instance, resolution=plan.tau, sites=sites)
+    fine = solve_assignment(instance)
+    coarse = fine if plan.tau == plan.rho else solve_assignment(replace(instance, rho=plan.tau))
     margin = (1.0 + plan.epsilon) * fine.objective - (coarse.objective + plan.delta)
     return margin, fine, coarse
 
@@ -207,8 +208,8 @@ class CoarseSolve:
     extended_cost: float
 
 
-def solve_coarse(instance: Instance, sites=None, *, plan: CoresetPlan) -> CoarseSolve:
-    """Solve at the coarse resolution (Euclidean costs) and lift the optimum.
+def solve_coarse(instance: Instance, *, plan: CoresetPlan) -> CoarseSolve:
+    """Solve the coarse problem (the instance at rho = tau, Euclidean costs) and lift it.
 
     The lifted clustering is feasible for the fine problem; its cost under
     the instance norms (how anisotropic instances reuse the Euclidean
@@ -216,10 +217,8 @@ def solve_coarse(instance: Instance, sites=None, *, plan: CoresetPlan) -> Coarse
     The plan, and with it epsilon, is the caller's choice.
     """
     _check_plan(instance, plan)
-    sites = instance.sites if sites is None else sites
-    euclid = instance if instance.norms is None else replace(instance, norms=None)
-    coarse = solve_assignment(euclid, resolution=plan.tau, sites=sites)
-    cost = cost_sites(coarse.clustering, sites, plan.tau, instance.norms)
+    coarse = solve_assignment(replace(instance, rho=plan.tau, norms=None))
+    cost = cost_sites(coarse.clustering, instance.sites, plan.tau, instance.norms)
     return CoarseSolve(plan=plan, coarse=coarse, extended=extend(coarse.clustering, plan),
                        extended_cost=cost + lift_offset(plan, instance.kappa, instance.norms))
 

@@ -34,8 +34,7 @@ def _dyadic_units(values, what: str) -> tuple[int, tuple[int, ...]]:
     bits = max(f.denominator.bit_length() - 1 for f in fracs)
     if bits > MAX_WEIGHT_BITS:
         raise ValueError(f"{what} denominator 2^{bits} exceeds cap 2^{MAX_WEIGHT_BITS}")
-    units = tuple(int(f * (1 << bits)) for f in fracs)
-    return bits, units
+    return bits, tuple(f.numerator << (bits + 1 - f.denominator.bit_length()) for f in fracs)
 
 
 @dataclass(frozen=True)

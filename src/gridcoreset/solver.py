@@ -26,7 +26,8 @@ network simplex method", 1976; Ahuja, Magnanti and Orlin, "Network Flows",
 small power-of-four denominator (dyadic sites, Euclidean norm), pricing
 runs in 64-bit integers and the optimum is exact.
 
-Every solve climbs a coarse-to-fine resolution ladder, as in Merigot, "A
+A coarser problem is an Instance too, replace(instance, rho=tau).  Every
+solve climbs a coarse-to-fine resolution ladder, as in Merigot, "A
 multiscale approach to optimal transport" (2011), and Schmitzer, "A sparse
 multiscale algorithm for dense optimal transport" (2016): the same instance
 is solved coarser first (three exponents lower in 1-D, one elsewhere), in
@@ -115,17 +116,17 @@ class SolveResult:
     exact: bool
 
 
-def build_transport(instance: Instance, resolution=None, sites=None) -> TransportProblem:
-    """Assemble the transportation problem at the given solve resolution.
+def build_transport(instance: Instance, resolution=None) -> TransportProblem:
+    """Assemble the transportation problem of the instance at a ladder level.
 
     resolution defaults to the instance grid; a coarser one must be
-    componentwise <= rho.  sites defaults to the instance sites.
+    componentwise <= rho.
     """
     rho = instance.rho
     r = as_resolution(resolution) if resolution is not None else rho
     if not r <= rho:
         raise ValueError(f"solve resolution {r.exponents} not componentwise <= rho={rho.exponents}")
-    s = site_array(instance.sites if sites is None else sites, instance.k, rho.d)
+    s = site_array(instance.sites, instance.k, rho.d)
     bits = _cost_bits(instance, s)
     k = instance.k
     n = r.n
@@ -405,31 +406,31 @@ def _objective(problem: TransportProblem, arcs, flows) -> float:
     return float(total / (1 << (problem.unit_bits + 2 * problem.cost_bits)))
 
 
-def solve_assignment(instance: Instance, resolution=None, sites=None) -> SolveResult:
-    """Globally optimal basic solution of the assignment LP at resolution r.
+def solve_assignment(instance: Instance) -> SolveResult:
+    """Globally optimal basic solution of the instance's assignment LP on X(rho).
 
     Deterministic: fixed pivot and tie-break rules, and a ladder start that
-    solves the levels below r first (every axis exponent above _LADDER_BASE,
+    solves the levels below rho first (every axis exponent above _LADDER_BASE,
     which is 2, lowered by three per level in 1-D, by one otherwise), each
     built by build_transport in the one cost unit of rho and the sites; pivots
     counts all levels, and the "gridcoreset" logger gives one debug line per
-    level.  When every kappa_i is an integer multiple of nu(r), the basic
+    level.  When every kappa_i is an integer multiple of nu(rho), the basic
     optimum is integer; in general at most 2(k-1) fractions are fractional.
     """
     # Potentials, duals and sums past float64 raise FloatingPointError, not a warning.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # The top level is built first, so a bad resolution or the arc cap fails
+            # The top level is built first, so missing sites or the arc cap fail
             # before any solving.  Level m lowers each exponent above _LADDER_BASE by
             # m, not below it; m steps by 3 in 1-D.  Each level starts from mu = -pi of
             # the one below: C - mu sums 2k+5 costs, within int64, in the top's unit.
-            top = build_transport(instance, resolution=resolution, sites=sites)
+            top = build_transport(instance)
             exps = top.resolution.exponents
             mu, pivots = 0, 0
             step, top_m = max(1, 3 // len(exps)), max(max(exps) - _LADDER_BASE, 0)
             for m in sorted({top_m, *range(0, top_m, step)}, reverse=True):
                 level = tuple(max(e - m, min(e, _LADDER_BASE)) for e in exps)
-                problem = build_transport(instance, level, sites) if m else top
+                problem = build_transport(instance, level) if m else top
                 owner, core, pi_cl, p = _network_simplex(problem, mu)
                 mu, pivots = -pi_cl, pivots + p
             k, n = problem.k, problem.n

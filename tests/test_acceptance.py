@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,7 +184,7 @@ def sweep() -> _Sweep:
             for trial in range(50):
                 rng = _rng(4, shape_idx, k, trial)
                 sites = rng.uniform(0.0, 1.0, size=(k, rho.d))
-                fine = solve_assignment(inst, sites=sites)
+                fine = solve_assignment(replace(inst, sites=sites))
                 fine_rep = check_compatibility(
                     fine.clustering, from_duals(sites, fine.duals), rho)
                 coarse_cache = {}
@@ -193,7 +193,7 @@ def sweep() -> _Sweep:
                     plan = make_plan(k, eps, rho)
                     key = plan.tau.exponents
                     if key not in coarse_cache:
-                        coarse = solve_assignment(inst, resolution=plan.tau, sites=sites)
+                        coarse = solve_assignment(replace(inst, rho=plan.tau, sites=sites))
                         rep = check_compatibility(
                             coarse.clustering, from_duals(sites, coarse.duals), plan.tau)
                         ext = cost_sites(extend(coarse.clustering, plan), sites, rho)
@@ -294,7 +294,7 @@ def test_8_anisotropic_lift_within_eigenvalue_factor(capsys):
         k = 2 + i % 2
         lo = float(rng.uniform(0.5, 2.0))
         ratio = float(rng.uniform(1.0, 10.0))
-        inst = generate_instance(2, (6, 6), k, seed=ACCEPT_SEED + i,
+        inst = generate_instance((6, 6), k, seed=ACCEPT_SEED + i,
                                  anisotropy=(lo, lo * ratio), epsilon=epsilon)
         best = solve_assignment(inst)
         plan = make_plan(k, Fraction(1, 6), inst.rho)  # epsilon / 3

@@ -89,8 +89,7 @@ def test_gen_anisotropy(tmp_path):
 
 
 def test_save_load_roundtrip(tmp_path):
-    inst = generate_instance(2, (3, 3), 3, seed=9, anisotropy=(1.0, 3.0),
-                             epsilon=0.25)
+    inst = generate_instance((3, 3), 3, seed=9, anisotropy=(1.0, 3.0), epsilon=0.25)
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     back = load_instance(path)
@@ -137,6 +136,40 @@ def test_solve_at_tau_matches_coarsened_file(tmp_path, capsys):
     via_flag = capsys.readouterr().out
     pick = lambda txt: [l for l in txt.splitlines() if l.startswith("objective")]
     assert pick(via_file) == pick(via_flag)
+
+
+@pytest.mark.parametrize("name, tau", [("golden", "1"), ("golden", "3"), ("coarse", "4,4"),
+                                       ("coarse", "2,5"), ("dyadic", "3,4"), ("aniso", "3,4")])
+def test_solve_at_tau_is_solve_of_coarsened_file(tmp_path, capsys, name, tau):
+    # solve --tau solves the instance coarsen writes: every line but the time agrees.
+    path = {"golden": GOLDEN, "coarse": GOLDEN_COARSE, "aniso": GOLDEN_ANISO}.get(name)
+    if path is None:  # sites over 1/64: the exact path, whose cost unit follows tau
+        doc = json.loads(GOLDEN_COARSE.read_text())
+        doc["sites"] = [[round(v * 64) / 64 for v in site] for site in doc["sites"]]
+        path = tmp_path / "dyadic.json"
+        path.write_text(json.dumps(doc))
+    coarse = tmp_path / "c.json"
+    assert main(["coarsen", str(path), "--tau", tau, "--out", str(coarse)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for argv in (["solve", str(coarse)], ["solve", str(path), "--tau", tau]):
+        assert main(argv) == 0
+        outputs.append([line for line in capsys.readouterr().out.splitlines()
+                        if not line.startswith("wall_time_s")])
+    assert outputs[0] == outputs[1]
+    assert f"exact_arithmetic {name == 'dyadic'}" in outputs[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "coarsen", "verify", "bench"])
+@pytest.mark.parametrize("path, tau", [(GOLDEN, "0"), (GOLDEN_ANISO, "0,0")],
+                         ids=["isotropic", "anisotropic"])
+def test_tau_of_fewer_points_than_clusters_exits_2(tmp_path, capsys, command, path, tau):
+    # The coarse problem is an Instance, so every command refuses a coarse grid
+    # of fewer points than clusters as coarsen does, and writes no report.
+    out = tmp_path / "out"
+    assert main([command, str(path), "--tau", tau, "--out", str(out)]) == 2
+    assert "cluster count 2 exceeds point count 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_coarsen_reports_plan(tmp_path, capsys):
@@ -253,8 +286,9 @@ NAN = float("nan")
 FAKE_SOLVE = SimpleNamespace(objective=0.5, fractional_count=0)
 
 
-# property_b fails for real at tau = 0; the other checks are made to fail.  A
-# margin of None is a real violation, below -1e-9; a NaN margin fails too.
+# property_b fails for real at tau = 1 with epsilon 0.01; the other checks are
+# made to fail.  A margin of None is a real violation, below -1e-9; a NaN
+# margin fails too.
 @pytest.mark.parametrize("check, fake, margin", [
     ("property_a", ("verify_property_a", lambda *a: (np.float64(1.0), 0.0)), "1.0"),
     ("property_b", None, None),
@@ -275,7 +309,7 @@ def test_verify_violation_exits_3(tmp_path, capsys, monkeypatch, check, fake, ma
         path.write_text(GOLDEN.read_text())
     if fake is not None:
         monkeypatch.setattr(cli, *fake)
-    tau = ["--tau", "0"] if check == "property_b" else []
+    tau = ["--tau", "1", "--epsilon", "0.01"] if check == "property_b" else []
     code = main(["verify", str(path), *tau, "--trials", "5", "--seed", "0"])
     assert code == 3
     (fields,) = csv.reader(capsys.readouterr().err.splitlines())

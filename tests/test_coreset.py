@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -351,10 +352,10 @@ def test_solve_coarse_cost_is_closed_form(aniso):
     norms = NormFamily(np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]],
                                  [[1.5, -0.25], [-0.25, 0.75]]])) if aniso else None
     inst = Instance(k=3, rho=(6, 5), kappa=(0.25, 0.25, 0.5), norms=norms)
-    for tau in ((6, 5), (3, 4), (0, 0)):
+    for tau in ((6, 5), (3, 4), (1, 1)):  # (1, 1): the coarsest grid of at least k points
         plan = plan_for((6, 5), tau, k=3)
         sites = rng.uniform(0.0, 1.0, size=(3, 2))
-        out = solve_coarse(inst, sites=sites, plan=plan)
+        out = solve_coarse(replace(inst, sites=sites), plan=plan)
         direct = cost_sites(out.extended, sites, inst.rho, norms)
         if tau == (6, 5):
             assert out.extended_cost == direct
@@ -363,6 +364,8 @@ def test_solve_coarse_cost_is_closed_form(aniso):
         # The float per-axis spread reproduces the exact offset when A = I.
         eye = NormFamily(np.array([np.eye(2)] * 3))
         assert lift_offset(plan, inst.kappa, eye) == lift_offset(plan, inst.kappa) == plan.delta
+    with pytest.raises(ValueError, match="cluster count 3 exceeds point count 1"):
+        solve_coarse(replace(inst, sites=sites), plan=plan_for((6, 5), (0, 0), k=3))
 
 
 @given(st.data())
@@ -381,7 +384,7 @@ def test_property_a_exact_for_any_clustering(data):
     inst = Instance(k=k, rho=rho, kappa=(Fraction(1, k),) * k, sites=sites) \
         if k in (1, 2, 4) else \
         Instance(k=k, rho=rho, kappa=(0.25, 0.25, 0.5), sites=sites)
-    residual, lifted = verify_property_a(C_tilde, sites, inst, plan)
+    residual, lifted = verify_property_a(C_tilde, inst, plan)
     lhs = cost_sites(extend(C_tilde, plan), sites, rho)
     assert lifted == lhs
     assert residual <= PROPERTY_A_TOL * (1 + lhs)
@@ -394,9 +397,9 @@ def test_property_a_rejects_anisotropic():
     plan = plan_for((3,), (1,))
     C_tilde = Clustering.from_labels(2, [0, 1])
     with pytest.raises(ValueError):
-        verify_property_a(C_tilde, inst.sites, inst, plan)
+        verify_property_a(C_tilde, inst, plan)
     with pytest.raises(ValueError):
-        verify_property_b(inst.sites, inst, plan)
+        verify_property_b(inst, plan)
 
 
 def test_plan_for_another_grid_is_rejected():
@@ -405,16 +408,15 @@ def test_plan_for_another_grid_is_rejected():
     with pytest.raises(ValueError, match="plan is for rho"):
         solve_coarse(inst, plan=plan)
     with pytest.raises(ValueError, match="plan is for rho"):
-        verify_property_b(inst.sites, inst, plan)
+        verify_property_b(inst, plan)
     with pytest.raises(ValueError, match="plan is for rho"):
-        verify_property_a(Clustering.from_labels(2, [0, 1] * (plan.tau.n // 2)),
-                          inst.sites, inst, plan)
+        verify_property_a(Clustering.from_labels(2, [0, 1] * (plan.tau.n // 2)), inst, plan)
 
 
 def test_property_b_margin_when_tau_is_rho():
     inst = Instance(k=2, rho=(4,), kappa=(0.5, 0.5), sites=[[0.3], [0.8]])
     plan = plan_for((4,), (4,))
-    margin, fine, coarse = verify_property_b(inst.sites, inst, plan)
+    margin, fine, coarse = verify_property_b(inst, plan)
     assert fine.objective == coarse.objective == solve_assignment(inst).objective
     assert abs(margin - 0.5 * fine.objective) <= 1e-15
 
@@ -437,24 +439,24 @@ SITES_BY_PATH = {True: [[0.25, 0.5], [0.75, 0.125], [0.5, 0.875]],
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_property_b_solves_once_when_tau_is_rho(exact):
-    inst = Instance(k=3, rho=(3, 3), kappa=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    inst = Instance(k=3, rho=(3, 3), kappa=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+                    sites=SITES_BY_PATH[exact])
     plan = make_plan(3, 0.5, inst.rho)
     assert plan.tau == plan.rho and plan.clamped
-    sites = np.array(SITES_BY_PATH[exact])
-    _, fine, coarse = verify_property_b(sites, inst, plan)
+    _, fine, coarse = verify_property_b(inst, plan)
     assert coarse is fine and fine.exact is exact
-    _assert_same_solve(fine, solve_assignment(inst, resolution=plan.tau, sites=sites))
+    _assert_same_solve(fine, solve_assignment(replace(inst, rho=plan.tau)))
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_property_b_solves_both_when_tau_is_below_rho(exact):
-    inst = Instance(k=3, rho=(5, 5), kappa=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    inst = Instance(k=3, rho=(5, 5), kappa=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+                    sites=SITES_BY_PATH[exact])
     plan = make_plan(3, 0.5, inst.rho, tau=(3, 3))
-    sites = np.array(SITES_BY_PATH[exact])
-    _, fine, coarse = verify_property_b(sites, inst, plan)
+    _, fine, coarse = verify_property_b(inst, plan)
     assert coarse is not fine and fine.exact is exact
-    _assert_same_solve(fine, solve_assignment(inst, sites=sites))
-    _assert_same_solve(coarse, solve_assignment(inst, resolution=plan.tau, sites=sites))
+    _assert_same_solve(fine, solve_assignment(inst))
+    _assert_same_solve(coarse, solve_assignment(replace(inst, rho=plan.tau)))
 
 
 def test_property_b_margin_at_target():
@@ -463,7 +465,7 @@ def test_property_b_margin_at_target():
     plan = make_plan(2, 0.5, (6,))
     for _ in range(5):
         sites = rng.uniform(0.0, 1.0, size=(2, 1))
-        assert verify_property_b(sites, inst, plan)[0] >= -PROPERTY_B_TOL
+        assert verify_property_b(replace(inst, sites=sites), plan)[0] >= -PROPERTY_B_TOL
 
 
 def test_solve_coarse_identity_at_full_resolution():
@@ -485,7 +487,7 @@ def test_solve_coarse_without_sites_raises_before_solving(monkeypatch):
     with pytest.raises(ValueError, match="no sites"):
         solve_coarse(inst, plan=plan)
     with pytest.raises(AssertionError, match="solved without sites"):  # the patch holds
-        solve_coarse(inst, sites=[[0.2], [0.9]], plan=plan)
+        solve_coarse(replace(inst, sites=[[0.2], [0.9]]), plan=plan)
 
 
 def test_solve_coarse_lift_is_feasible_and_close():

@@ -3,6 +3,7 @@
 import json
 import logging
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -280,23 +281,72 @@ def test_deterministic_resolve():
 
 
 def test_solve_at_coarser_resolution():
+    # A coarser solve is the instance on a coarser grid: one problem, one form.
     inst = Instance(k=2, rho=(3,), kappa=(0.5, 0.5), sites=[[0.2], [0.9]])
-    res = solve_assignment(inst, resolution=(1,))
+    res = solve_assignment(replace(inst, rho=(1,)))
     assert res.resolution.exponents == (1,)
     assert res.clustering.n == 2
     direct = solve_assignment(
         Instance(k=2, rho=(1,), kappa=(0.5, 0.5), sites=[[0.2], [0.9]]))
     assert res.objective == direct.objective
-    with pytest.raises(ValueError):
-        solve_assignment(inst, resolution=(4,))
+    with pytest.raises(ValueError, match="exceeds point count"):  # 2 clusters, 1 point
+        replace(inst, rho=(0,))
+    with pytest.raises(ValueError, match="not componentwise"):  # ladder levels stay at or below rho
+        build_transport(inst, resolution=(4,))
 
 
 def test_sites_override():
+    # Other sites are another instance, with the same grid and weights.
     inst = Instance(k=2, rho=(2,), kappa=(0.5, 0.5), sites=[[0.1], [0.6]])
-    res = solve_assignment(inst, sites=[[0.25], [0.75]])
+    res = solve_assignment(replace(inst, sites=[[0.25], [0.75]]))
     assert res.objective == 0.015625  # centroid-optimal balanced split
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no sites"):
         solve_assignment(Instance(k=2, rho=(2,), kappa=(0.5, 0.5)))
+
+
+# (rho, kappa, sites, norms, tau) -> (cost_bits at rho, at tau), and the
+# (pivots, objective, dual_objective, duals, fractional_count) that
+# solve_assignment(instance, resolution=tau, sites=sites) returned before a
+# coarse solve became the instance at rho = tau.  Dyadic sites at tau < rho
+# now price in tau's cost unit, a power of four off rho's: with tol = 0 every
+# comparison, pivot and rounded result stays the same.
+F = Fraction
+COARSE_SOLVES = [
+    ((5, 5), (F(5, 128), F(59, 128), F(1, 2)), [[0.25, 0.5], [0.75, 0.125], [0.5, 0.875]],
+     None, (3, 3), (6, 4), (7, 0.126708984375, 0.126708984375, (0.0, 0.34375, 0.28125), 2)),
+    ((5, 5), (F(1, 4), F(1, 4), F(1, 2)), [[0.21, 0.53], [0.77, 0.14], [0.48, 0.86]],
+     None, (3, 3), (0, 0),
+     (6, 0.0921875, 0.0921875, (0.0, -0.013750000000000012, 0.11999999999999997), 0)),
+    ((10,), (F(5, 32), F(11, 32), F(1, 2)), [[5 / 64], [33 / 64], [61 / 64]],
+     None, (4,), (11, 6),
+     (3, 0.04693603515625, 0.04693603515625, (0.0, 0.123046875, 0.30078125), 2)),
+    ((4, 3, 3), (F(1, 8), F(3, 8), F(1, 4), F(1, 4)),
+     [[0.1, 0.2, 0.3], [0.9, 0.8, 0.7], [0.4, 0.6, 0.5], [0.7, 0.1, 0.9]], None, (2, 2, 1),
+     (0, 0), (9, 0.1775, 0.1775, (0.0, 0.25, 0.004999999999999977, 0.14499999999999996), 0)),
+    ((6, 5), (F(1, 2), F(1, 2)), [[0.125, 0.375], [0.625, 0.875]],
+     None, (6, 5), (7, 7), (0, 0.15618896484375, 0.15618896484375, (0.0, 0.0), 0)),
+    ((4, 4), (F(1, 4), F(3, 4)), [[0.3, 0.6], [0.8, 0.2]],
+     [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]]], (2, 3), (0, 0),
+     (2, 0.35859375000000004, 0.35859375, (0.0, 0.780625), 0)),
+    ((7,), (F(3, 8), F(5, 8)), [[2.0**-12], [0.75]], None, (1,), (12, 12),
+     (0, 0.05464174598455429, 0.05464174598455429, (0.0, 0.18762201070785522), 2)),
+    ((6, 6), (F(1, 8), F(3, 16), F(5, 16), F(3, 8)),
+     [[0.125, 0.25], [0.5, 0.875], [0.8125, 0.375], [0.25, 0.625]], None, (4, 4), (7, 5),
+     (8, 0.0643310546875, 0.0643310546875, (0.0, 0.0625, 0.0390625, 0.125), 0)),
+]
+
+
+@pytest.mark.parametrize("rho, kappa, sites, norms, tau, bits, recorded", COARSE_SOLVES,
+                         ids=[f"{c[0]}->{c[4]}-{'exact' if c[5][1] else 'float'}"
+                              for c in COARSE_SOLVES])
+def test_coarse_solve_matches_recorded(rho, kappa, sites, norms, tau, bits, recorded):
+    inst = Instance(k=len(kappa), rho=rho, kappa=kappa, sites=sites, norms=norms)
+    coarse = replace(inst, rho=tau)
+    assert (build_transport(inst).cost_bits, build_transport(coarse).cost_bits) == bits
+    res = solve_assignment(coarse)
+    assert res.exact is (bits[1] > 0)
+    assert (res.pivots, res.objective, res.dual_objective, res.duals,
+            res.fractional_count) == recorded
 
 
 def _boundary_instance(k, site, norms=False):
